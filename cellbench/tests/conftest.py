@@ -1,0 +1,12 @@
+"""Put the checkout's ``src/`` and root on the path for the benchmark tests.
+
+Run from the repository root: ``python3 -m pytest cellbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[2]
+for _path in (_ROOT / "src", _ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
