@@ -36,8 +36,9 @@ def wave_partition(chunks: list[ChunkExec], n_threads: int) -> list[list[ChunkEx
     """Group a chunk schedule into concurrency *waves*.
 
     Chunks are sorted by start time and grouped ``n_threads`` at a time:
-    chunks in the same wave are treated as executing concurrently (they
-    cannot see each other's writes), chunks in earlier waves as committed.
+    chunks in the same wave are treated as executing concurrently, in
+    lockstep (each sees the others' writes from earlier positions only),
+    chunks in earlier waves as committed.
     This is the time-faithful approximation the semantic replay uses for
     speculative-colouring conflicts and relaxed-queue duplicates
     (DESIGN.md §3).

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.kernels.base import (AccessSet, KernelRun, gather_neighbors,
-                                wave_partition)
+from repro.kernels.base import (AccessSet, KernelRun, flat_gather,
+                                gather_neighbors, wave_partition)
 from repro.machine.cache import access_profile_cached
 from repro.machine.config import KNF, MachineConfig
 from repro.machine.costs import OP, WorkCosts, bfs_scan_costs
@@ -146,12 +146,17 @@ def simulate_bfs(
     level = 1
     while True:
         valid = queue >= 0
-        verts = queue[valid]
-        if verts.size == 0:
+        slots = np.flatnonzero(valid)
+        if slots.size == 0:
             break
+        verts = queue[slots]
         run.entries_processed += len(queue)
 
-        pushes = _fresh_push_counts(indptr, indices, verts, run.dist)
+        # One neighbour gather per level, with the level-start discovery
+        # mask: it prices the pushes and feeds the semantic replay.
+        nbrs, seg = gather_neighbors(indptr, indices, verts)
+        fresh = run.dist[nbrs] == -1
+        pushes = _fresh_push_counts(seg, fresh, len(verts))
         work = _level_costs(queue, valid, verts, pushes, scan, config,
                             variant, relaxed, block)
         stats = spec.parallel_for(config, n_threads, work,
@@ -184,8 +189,8 @@ def simulate_bfs(
         p_race = min(1.0, RACE_WINDOW_CYCLES / max(1.0, mean_entry))
         rng = np.random.default_rng((seed + 1) * 100_003 + level)
         per_thread, duplicates = _replay_level(
-            indptr, indices, queue, run.dist, stats.chunks, n_threads,
-            level, relaxed, p_race, rng)
+            slots[seg[fresh]], nbrs[fresh], len(queue), run.dist,
+            stats.chunks, n_threads, level, relaxed, p_race, rng)
         run.duplicates += duplicates
         queue, pad = _build_queue(per_thread, n_threads, variant, block)
         run.sentinels += pad
@@ -232,15 +237,10 @@ def _level_access(graph: CSRGraph, queue: np.ndarray, dist: np.ndarray,
             .benign_race("dist", reason, expect=False))
 
 
-def _fresh_push_counts(indptr, indices, verts, dist) -> np.ndarray:
+def _fresh_push_counts(seg, fresh, n_verts) -> np.ndarray:
     """Per queue entry: how many of its neighbours are undiscovered at
     level start (the push attempts it will make)."""
-    nbrs, seg = gather_neighbors(indptr, indices, verts)
-    fresh = (dist[nbrs] == -1).astype(np.float64)
-    out = np.zeros(len(verts))
-    if len(nbrs):
-        np.add.at(out, seg, fresh)
-    return out
+    return np.bincount(seg[fresh], minlength=n_verts).astype(np.float64)
 
 
 def _level_costs(queue, valid, verts, pushes, scan: WorkCosts,
@@ -274,77 +274,89 @@ def _level_costs(queue, valid, verts, pushes, scan: WorkCosts,
     return WorkCosts(compute, stall, volume)
 
 
-def _replay_level(indptr, indices, queue, dist, chunks, n_threads, level,
-                  relaxed, p_race=1.0, rng=None):
-    """Lockstep semantic replay of one level's discoveries.
+def _replay_level(entry, vert, n_entries, dist, chunks, n_threads, level,
+                  relaxed, p_race, rng):
+    """Semantic replay of one level's discoveries, in one vectorised pass.
 
-    Chunks are grouped into concurrency waves; within a wave the threads
-    advance entry by entry in lockstep.  A discovery can race only with
-    discoveries made at the *same* lockstep instant by other chunks
-    (caches are coherent — a committed ``bfs[w]`` write is visible the
-    next instant), and even then the relaxed queues duplicate the vertex
-    only when the check-then-write windows actually overlap, which happens
-    with probability *p_race* (window width / entry duration) — the
-    "unlikely and benign" race of Leiserson & Schardl that §III-C/V-D
-    discusses.  The locked variants admit one winner per vertex.
+    *entry* / *vert* are the level's candidate claims: queue entry
+    ``entry[k]`` reaches ``vert[k]``, undiscovered at level start.
+
+    Chunks are grouped into concurrency waves, and every entry runs at an
+    *instant* ``(wave, position)``: within a multi-chunk wave the threads
+    advance entry by entry in lockstep, so the p-th entry of each chunk
+    runs at instant ``(wave, p)``; a single-chunk wave runs sequentially
+    and is one instant.  Caches are coherent — a committed ``dist[w]``
+    write is visible from the next instant on — so a vertex can only be
+    claimed at the first instant that reaches it.  The claimants at that
+    instant race: the first chunk in wave order wins, and on a relaxed
+    queue each other claimant duplicates the vertex only when its
+    check-then-write window overlapped the winner's, which happens with
+    probability *p_race* (window width / entry duration) — the "unlikely
+    and benign" race of Leiserson & Schardl that §III-C/V-D discusses.
+    Those draws come from *rng* in ``(instant, vertex, chunk)`` order.
+    The locked variants admit one winner per vertex.
 
     Returns ``(per_thread, duplicates)`` where ``per_thread[tid]`` is the
-    ordered list of vertex arrays thread *tid* appended to its queue.
+    vertex array thread *tid* appended to its queue, ordered by
+    ``(wave, position, chunk, vertex)``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    per_thread: dict[int, list] = {}
-    duplicates = 0
-    for wave in wave_partition(chunks, n_threads):
-        if len(wave) == 1:
-            # Single chunk: sequential execution, no races possible.
-            c = wave[0]
-            entries = queue[c.lo:c.hi]
-            verts = entries[entries >= 0]
-            if verts.size == 0:
-                continue
-            nbrs, _ = gather_neighbors(indptr, indices, verts)
-            found = np.unique(nbrs[dist[nbrs] == -1])
-            if len(found):
-                dist[found] = level
-                per_thread.setdefault(c.thread, []).append(found)
-            continue
-        lows = np.asarray([c.lo for c in wave], dtype=np.int64)
-        sizes = np.asarray([c.hi - c.lo for c in wave], dtype=np.int64)
-        tids = [c.thread for c in wave]
-        for p in range(int(sizes.max())):
-            live = np.nonzero(sizes > p)[0]
-            entries = queue[lows[live] + p]
-            ok = entries >= 0
-            live, verts = live[ok], entries[ok]
-            if verts.size == 0:
-                continue
-            nbrs, seg = gather_neighbors(indptr, indices, verts)
-            fresh = dist[nbrs] == -1
-            if not fresh.any():
-                continue
-            cand_c = live[seg[fresh]]      # wave-chunk index per claim
-            cand_v = nbrs[fresh]
-            order = np.lexsort((cand_c, cand_v))
-            cand_c, cand_v = cand_c[order], cand_v[order]
-            first = np.ones(len(cand_v), dtype=bool)
-            first[1:] = cand_v[1:] != cand_v[:-1]
-            if relaxed:
-                # An extra claimant duplicates only if its check-then-write
-                # window overlapped the winner's.
-                keep = first.copy()
-                extra = ~first
-                if extra.any():
-                    keep[extra] = rng.random(int(extra.sum())) < p_race
-            else:
-                keep = first
-            uniq = np.unique(cand_v)
-            duplicates += int(keep.sum()) - len(uniq)
-            dist[uniq] = level
-            for ci in np.unique(cand_c):
-                mine = cand_v[keep & (cand_c == ci)]
-                if len(mine):
-                    per_thread.setdefault(tids[ci], []).append(mine)
+    waves = wave_partition(chunks, n_threads)
+    ordered = [c for wave in waves for c in wave]
+    if not ordered or not len(vert):
+        return {}, 0
+    lo = np.fromiter((c.lo for c in ordered), np.int64, len(ordered))
+    hi = np.fromiter((c.hi for c in ordered), np.int64, len(ordered))
+    tids = np.fromiter((c.thread for c in ordered), np.int64, len(ordered))
+    wave_len = np.fromiter(map(len, waves), np.int64, len(waves))
+    wave_of = np.repeat(np.arange(len(waves)), wave_len)
+    lockstep = wave_len > 1
+    wave_lo = np.cumsum(wave_len) - wave_len
+    n_instants = np.where(lockstep, np.maximum.reduceat(hi - lo, wave_lo), 1)
+    chunk_t0 = (np.cumsum(n_instants) - n_instants)[wave_of]
+    step = lockstep[wave_of].astype(np.int64)
+
+    # Which chunk ran each queue entry, and at which instant; entries no
+    # chunk ran (a killed worker's lost work) make no claims.
+    ran, chunk = flat_gather(np.arange(n_entries), lo, hi)
+    chunk_of = np.full(n_entries, -1, dtype=np.int64)
+    instant_of = np.zeros(n_entries, dtype=np.int64)
+    chunk_of[ran] = chunk
+    instant_of[ran] = chunk_t0[chunk] + (ran - lo[chunk]) * step[chunk]
+    c = chunk_of[entry]
+    live = c >= 0
+    c, v, t = c[live], vert[live], instant_of[entry[live]]
+    if not len(v):
+        return {}, 0
+
+    # Per vertex, claims in (instant, chunk) order: keep those at its first
+    # instant, once per chunk (a sequential chunk claims a vertex once).
+    order = np.lexsort((c, t, v))
+    c, v, t = c[order], v[order], t[order]
+    head = np.ones(len(v), dtype=bool)
+    head[1:] = v[1:] != v[:-1]
+    repeat = np.zeros(len(v), dtype=bool)
+    repeat[1:] = ~head[1:] & (t[1:] == t[:-1]) & (c[1:] == c[:-1])
+    live = (t == t[head][np.cumsum(head) - 1]) & ~repeat
+    c, v, t, head = c[live], v[live], t[live], head[live]
+
+    keep = head
+    if relaxed:
+        # An extra claimant duplicates only if its check-then-write
+        # window overlapped the winner's.
+        extra = np.flatnonzero(~head)
+        if len(extra):
+            extra = extra[np.argsort(t[extra], kind="stable")]
+            keep = head.copy()
+            keep[extra] = rng.random(len(extra)) < p_race
+    claimed = v[head]
+    dist[claimed] = level
+    duplicates = int(keep.sum()) - len(claimed)
+
+    c, v, t = c[keep], v[keep], t[keep]
+    order = np.lexsort((v, c, t, tids[c]))
+    owner, v = tids[c][order], v[order]
+    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(v)]
+    per_thread = {int(owner[a]): v[a:b] for a, b in zip(cuts[:-1], cuts[1:])}
     return per_thread, duplicates
 
 
@@ -355,7 +367,7 @@ def _build_queue(per_thread, n_threads, variant, block):
     for tid in range(n_threads):
         if tid not in per_thread:
             continue
-        mine = np.concatenate(per_thread[tid])
+        mine = per_thread[tid]
         if variant in ("openmp-block", "tbb-block"):
             pad = (-len(mine)) % block
             if pad:

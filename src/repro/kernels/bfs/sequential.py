@@ -14,6 +14,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.kernels.base import gather_neighbors
 
 __all__ = ["bfs_sequential", "bfs_fifo", "frontier_profile"]
 
@@ -29,28 +30,15 @@ def bfs_sequential(graph: CSRGraph, source: int) -> np.ndarray:
     frontier = np.asarray([source], dtype=np.int64)
     level = 1
     while frontier.size:
-        starts, ends = indptr[frontier], indptr[frontier + 1]
-        total = int((ends - starts).sum())
-        if total == 0:
-            break
         # Gather all neighbours of the frontier into one flat array.
-        gather = _flat_gather(indices, starts, ends, total)
-        fresh = gather[dist[gather] == -1]
+        nbrs = gather_neighbors(indptr, indices, frontier)[0]
+        fresh = nbrs[dist[nbrs] == -1]
         if fresh.size == 0:
             break
         frontier = np.unique(fresh)
         dist[frontier] = level
         level += 1
     return dist
-
-
-def _flat_gather(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                 total: int) -> np.ndarray:
-    """Concatenate CSR slices ``indices[starts[i]:ends[i]]`` without a loop."""
-    lens = ends - starts
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lens)
-    return indices[flat].astype(np.int64)
 
 
 def bfs_fifo(graph: CSRGraph, source: int) -> np.ndarray:

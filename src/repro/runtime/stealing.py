@@ -14,6 +14,7 @@ OpenMP's flat chunk counter in the paper's Figure 1.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque as _deque
 
 import numpy as np
@@ -77,6 +78,10 @@ def run_work_stealing(
         for rng_item in initial_ranges:
             deques[0].append(rng_item)
 
+    # Workers whose deque is non-empty, ascending: updated only when a
+    # deque empties or refills, so a thief (whose own deque is always
+    # empty) picks its victim without scanning all t deques.
+    stocked = [w for w in range(t) if deques[w]]
     remaining = [sum(hi - lo for lo, hi in initial_ranges)]
     # Idle workers with nothing to steal sleep on a generation condition
     # instead of polling: it fires whenever a deque turns non-empty (or all
@@ -104,6 +109,8 @@ def run_work_stealing(
             ctx.fault_point(wid)
             if my:
                 lo, hi = my.pop()
+                if not my:
+                    stocked.remove(wid)
                 if ctx.check is not None:
                     ctx.check.on_pop(wid)
                 while hi - lo > split_threshold:
@@ -115,6 +122,7 @@ def run_work_stealing(
                     ctx.stats.tasks_spawned += 1
                     ctx.stats.sched_cycles += task_cycles
                     if was_empty:
+                        insort(stocked, wid)
                         notify(wid)
                     yield task_cycles
                     hi = mid
@@ -132,15 +140,16 @@ def run_work_stealing(
                 continue
             if remaining[0] <= 0:
                 break
-            gen = signal[0]  # capture before scanning (lost-wakeup safety)
-            victims = [w for w in range(t) if w != wid and deques[w]]
-            if victims:
-                victim = victims[int(rng.integers(len(victims)))]
+            gen = signal[0]  # capture before picking (lost-wakeup safety)
+            if stocked:
+                victim = stocked[int(rng.integers(len(stocked)))]
                 yield ctx.config.steal_cycles
                 ctx.stats.sched_cycles += ctx.config.steal_cycles
                 if deques[victim]:  # may have drained during the steal RTT
-                    was_empty = not my
                     my.append(deques[victim].popleft())
+                    if not deques[victim]:
+                        stocked.remove(victim)
+                    insort(stocked, wid)
                     ctx.stats.steals += 1
                     if ctx.check is not None:
                         ctx.check.on_steal(wid, victim)
@@ -149,8 +158,6 @@ def run_work_stealing(
                     if ctx.trace is not None:
                         ctx.trace.instant("steal", PID_THREADS, wid,
                                           ctx.engine.now, victim=victim)
-                    if was_empty and len(my) > 1:
-                        notify(wid)
                 else:
                     ctx.stats.failed_steals += 1
                     if registry is not None:
