@@ -15,8 +15,6 @@ The package provides:
   graph coloring, an irregular-computation microbenchmark, and layered BFS
   with bag / TLS-queue / block-queue frontier data structures.
 * :mod:`repro.models` — the paper's analytic layered-BFS speedup model.
-* :mod:`repro.apps` — the applications the paper motivates: task-graph
-  scheduling, betweenness centrality, PageRank, heat diffusion.
 * :mod:`repro.experiments` — drivers regenerating every table and figure.
 """
 

@@ -87,8 +87,8 @@ def backoff_delay(token: str, attempt: int, base: float = 0.05,
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     """Write *text* to *path* atomically (tmp file + ``os.replace``).
 
-    Used for every persisted artifact (checkpoints, metrics dumps,
-    traces) so a crash mid-write never leaves a corrupt file behind.
+    Used for every persisted artifact (bench trajectories, profiles,
+    metrics dumps) so a crash mid-write never leaves a corrupt file behind.
     """
     path = os.fspath(path)
     tmp = f"{path}.tmp"
@@ -201,7 +201,7 @@ def env_str(name: str, default: str | None = None) -> str | None:
     """A string from environment variable *name*.
 
     Unset or empty returns *default* — callers that treat "set to the
-    empty string" as "unset" (checkpoint paths, store roots) get that
+    empty string" as "unset" (store roots, graph directories) get that
     normalisation in one place.
     """
     raw = _env_raw(name)

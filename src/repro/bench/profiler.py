@@ -55,7 +55,6 @@ _MODULE_BUCKETS = (
     ("repro/sim/faults", "engine:events"),
     ("repro/sim/", "engine:events"),
     ("repro/campaign/", "campaign:executor"),
-    ("repro/apps/", "kernels:apps"),
     ("repro/experiments/", "harness:sweep"),
     ("repro/bench/", "harness:sweep"),
 )

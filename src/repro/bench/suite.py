@@ -25,8 +25,8 @@ items must move:
     is the cost every campaign worker pays per graph after the first.
 
 Every benchmark pins its environment (graphs, thread counts, fast mode;
-store and checkpoint resume *off* so repetitions measure compute, not
-cache hits) and restores it afterwards, so results are comparable across
+the result store *off* so repetitions measure compute, not cache
+hits) and restores it afterwards, so results are comparable across
 checkouts and unaffected by the caller's shell.
 
 Results append to versioned trajectory files at the repo root —
@@ -77,12 +77,11 @@ def bench_filter() -> str | None:
 def _pinned_env(pins: dict):
     """Pin environment variables for one benchmark run, then restore.
 
-    A pin of ``None`` removes the variable.  ``REPRO_STORE`` and
-    ``REPRO_CHECKPOINT`` are always cleared: a warm store would turn a
-    compute benchmark into a cache-hit benchmark.
+    A pin of ``None`` removes the variable.  ``REPRO_STORE`` is always
+    cleared: a warm store would turn a compute benchmark into a cache-hit
+    benchmark.
     """
-    pins = {"REPRO_STORE": None, "REPRO_CHECKPOINT": None,
-            "REPRO_JOBS": None, **pins}
+    pins = {"REPRO_STORE": None, "REPRO_JOBS": None, **pins}
     saved = {name: os.environ.get(name) for name in pins}
     try:
         for name, value in pins.items():

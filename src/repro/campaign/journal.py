@@ -34,10 +34,9 @@ restarted server requeues exactly those.
 Replay rules: a record whose checksum does not match is *corrupt*; as
 the final line it is a crash artifact and is ignored, anywhere earlier
 it poisons the tail, so replay stops there and resumes conservatively
-(later completions are recomputed rather than trusted).  The journal
-supersedes the legacy per-file checkpoint mechanism for campaign runs —
-it records failures and submission order too, and it is keyed by run,
-not by output path.
+(later completions are recomputed rather than trusted).  Unlike the
+result store, the journal records failures and submission order too,
+and it is keyed by run, not by cell content.
 
 Run IDs are deterministic, entropy-free and collision-free per store
 root: ``<spec-hash[:8]>-<seq>`` where the sequence number is one past

@@ -144,9 +144,6 @@ def main(argv=None) -> int:
                         help="comma-separated thread counts")
     parser.add_argument("--retries", type=int, default=None,
                         help="per-cell retry budget (sets REPRO_RETRIES)")
-    parser.add_argument("--checkpoint", default=None,
-                        help="sweep checkpoint path (sets REPRO_CHECKPOINT; "
-                             "re-run with the same path to resume)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for sweep cells (sets "
                              "REPRO_JOBS; 0 = one per CPU, default serial)")
@@ -184,8 +181,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_THREADS"] = args.threads
     if args.retries is not None:
         os.environ["REPRO_RETRIES"] = str(args.retries)
-    if args.checkpoint:
-        os.environ["REPRO_CHECKPOINT"] = args.checkpoint
     if args.jobs is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     if args.store:

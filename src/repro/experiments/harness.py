@@ -13,19 +13,19 @@ Environment knobs (picked up by the benchmark suite so a laptop run can
 be shortened): ``REPRO_GRAPHS`` — comma-separated subset of suite names;
 ``REPRO_THREADS`` — comma-separated thread counts; ``REPRO_FAST=1`` —
 three graphs, five thread counts; ``REPRO_RETRIES`` — per-cell retry
-count for :func:`run_panel` (default 1); ``REPRO_CHECKPOINT`` — default
-checkpoint path for sweep resume; ``REPRO_JOBS`` — worker processes for
-the campaign executor (default 1 = serial in-process); ``REPRO_STORE``
-— root of the content-addressed result store (unset = no caching).
+count for :func:`run_panel` (default 1); ``REPRO_JOBS`` — worker
+processes for the campaign executor (default 1 = serial in-process);
+``REPRO_STORE`` — root of the content-addressed result store (unset = no
+caching).
 
 Resilience: :func:`run_panel` retries failing cells a bounded number of
-times, records survivors as NaN instead of discarding the sweep
-(``PanelResult.failures`` holds the error per cell), and can checkpoint
-every computed cell to disk so a crashed 121-thread × 10-graph panel
-resumes where it stopped.  The store supersedes ad-hoc checkpoints for
-resume: with ``REPRO_STORE`` set, every finished cell is content-
-addressed by (panel title, graph, variant, threads) + code fingerprint
-and a re-run serves it as a cache hit.
+times and records survivors as NaN instead of discarding the sweep
+(``PanelResult.failures`` holds the error per cell).  The result store
+is the resume path: with ``REPRO_STORE`` set, every finished cell is
+content-addressed by (panel title, graph, variant, threads) + code
+fingerprint, so a re-run of a crashed or interrupted 121-thread ×
+10-graph panel serves finished cells as cache hits and recomputes only
+the failed or unfinished ones.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ def run_panel(
     baseline_point: int = 1,
     retries: int | None = None,
     on_error: str = "nan",
-    checkpoint: str | os.PathLike | None = None,
     jobs: int | None = None,
     store=None,
 ) -> PanelResult:
@@ -232,8 +231,11 @@ def run_panel(
     * ``store`` (default: ``REPRO_STORE`` env var, else off) caches each
       finished cell content-addressed by (panel title, graph, variant,
       threads) + code fingerprint, so repeated sweeps across figures,
-      ablations and CI recompute nothing.  Callers that vary hidden
-      runner parameters under one title must keep the store off.
+      ablations and CI recompute nothing, and a crashed or interrupted
+      sweep re-run with the same store resumes where it stopped (NaN
+      cells are never stored, so failed cells are recomputed).  Callers
+      that vary hidden runner parameters under one title must keep the
+      store off.
 
     Resilience (partial-result semantics):
 
@@ -241,18 +243,9 @@ def run_panel(
       (default: ``REPRO_RETRIES`` env var, else 1) and then — with
       ``on_error="nan"``, the default — recorded as NaN with the error
       kept in ``PanelResult.failures``, leaving every other cell intact;
-      ``on_error="raise"`` restores fail-fast behaviour;
-    * with ``checkpoint`` (default: ``REPRO_CHECKPOINT`` env var) every
-      computed cell is persisted through
-      :func:`repro.experiments.save.save_checkpoint`; re-running the same
-      panel with the same checkpoint path skips finished cells, so a
-      crashed sweep resumes instead of restarting (failed cells are
-      retried on resume).  The content-addressed store supersedes this
-      per-path checkpointing — prefer ``REPRO_STORE`` unless you need a
-      single portable file.
+      ``on_error="raise"`` restores fail-fast behaviour.
     """
     from repro.campaign.executor import execute
-    from repro.experiments.save import load_checkpoint, save_checkpoint
 
     graphs = graphs if graphs is not None else panel_graphs()
     threads = threads if threads is not None else panel_threads()
@@ -261,36 +254,21 @@ def run_panel(
         threads = [baseline_point] + list(threads)
     if retries is None:
         retries = env_int("REPRO_RETRIES", 1, lo=0)
-    if checkpoint is None:
-        checkpoint = env_str("REPRO_CHECKPOINT")
     store = panel_store(store)
 
-    cycles: dict[tuple[str, str, int], float] = {}
-    if checkpoint is not None:
-        cycles.update(load_checkpoint(checkpoint, title))
-
-    pending = [(g, v, t) for g in graphs for v in variants for t in threads
-               if not ((g, v, t) in cycles and math.isfinite(cycles[(g, v, t)]))]
-
-    on_cell = None
-    if checkpoint is not None:
-        def on_cell(key, value):
-            cycles[key] = value
-            save_checkpoint(checkpoint, title, cycles)
-
+    cells = [(g, v, t) for g in graphs for v in variants for t in threads]
     report = execute(
-        lambda key: runner(*key), pending, jobs=jobs, retries=retries,
+        lambda key: runner(*key), cells, jobs=jobs, retries=retries,
         on_error=on_error, store=store,
         spec_for=lambda key: {"panel": title, "graph": key[0],
                               "variant": key[1], "threads": key[2]},
         labels_for=lambda key: {"graph": key[0], "variant": key[1],
                                 "threads": key[2]},
-        progress=env_bool("REPRO_PROGRESS"),
-        on_cell=on_cell, desc=f"cells ({title})")
-    cycles.update(report.values)
+        progress=env_bool("REPRO_PROGRESS"), desc=f"cells ({title})")
+    cycles = report.values
     failures = dict(report.errors)
     if report.interrupted:
-        raise KeyboardInterrupt  # completed cells live in checkpoint/store
+        raise KeyboardInterrupt  # completed cells live in the store
 
     result = PanelResult(title=title, thread_counts=list(threads),
                          failures=dict(failures))

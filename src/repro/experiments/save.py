@@ -2,35 +2,21 @@
 
 Panels round-trip losslessly, so a full regeneration can be archived next
 to the paper comparison (EXPERIMENTS.md points at ``results_full.txt``;
-``save_panels`` produces the machine-readable companion).
-
-Sweep checkpoints: :func:`save_checkpoint` / :func:`load_checkpoint`
-persist the raw per-cell cycle measurements of an in-flight
-:func:`~repro.experiments.harness.run_panel` sweep (keyed by panel title,
-one file can hold several panels) so a crashed 121-thread × 10-graph
-panel resumes instead of restarting.  Writes are atomic (tmp +
-``os.replace``) — a crash mid-write never corrupts the checkpoint — and
-loads are tolerant: a truncated or foreign file warns and resumes from
-scratch rather than killing the sweep it was meant to protect.  The
-content-addressed campaign store (:mod:`repro.campaign.store`)
-supersedes these per-path files for cross-figure/CI reuse; checkpoints
-remain for a single portable resume file.
+``save_panels`` produces the machine-readable companion).  Resuming an
+in-flight sweep is the result store's job
+(:mod:`repro.campaign.store`), not this module's.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import warnings
 
 import numpy as np
 
-from repro._util import atomic_write_text
 from repro.experiments.harness import PanelResult
 
-__all__ = ["panel_to_dict", "panel_from_dict", "save_panels", "load_panels",
-           "save_checkpoint", "load_checkpoint"]
+__all__ = ["panel_to_dict", "panel_from_dict", "save_panels", "load_panels"]
 
 #: Separator for compound JSON keys (graph/variant/threads tuples).
 _SEP = "\x1f"
@@ -85,66 +71,3 @@ def load_panels(path: str | os.PathLike) -> dict[str, PanelResult]:
     if "panels" not in payload:
         raise ValueError(f"{path}: not a saved-panels file")
     return {k: panel_from_dict(d) for k, d in payload["panels"].items()}
-
-
-def _atomic_dump(payload: dict, path: str) -> None:
-    """Write JSON atomically so a crash never corrupts the file."""
-    atomic_write_text(path, json.dumps(payload, indent=1))
-
-
-def save_checkpoint(path: str | os.PathLike, title: str,
-                    cells: dict[tuple[str, str, int], float]) -> None:
-    """Persist one panel's raw cell measurements (see module docstring).
-
-    ``cells`` maps ``(graph, variant, threads)`` to simulated cycles; NaN
-    cells (failed after retries) are stored as ``null`` so the file stays
-    strict JSON.  Other panels already in the file are preserved.
-    """
-    path = os.fspath(path)
-    try:
-        payload = _load_checkpoint_payload(path)
-    except (OSError, ValueError):
-        payload = {"checkpoints": {}}
-    payload["checkpoints"][title] = {
-        f"{g}{_SEP}{v}{_SEP}{t}": (None if math.isnan(c) else float(c))
-        for (g, v, t), c in cells.items()}
-    _atomic_dump(payload, path)
-
-
-def load_checkpoint(path: str | os.PathLike,
-                    title: str) -> dict[tuple[str, str, int], float]:
-    """Cells previously checkpointed for *title* ({} if none/missing).
-
-    A truncated, corrupt or foreign JSON file is tolerated: the loader
-    warns and returns ``{}`` (resume from scratch) instead of raising —
-    the next :func:`save_checkpoint` atomically replaces the damaged
-    file.  Losing a resume point must never be worse than not having
-    one.
-    """
-    path = os.fspath(path)
-    try:
-        payload = _load_checkpoint_payload(path)
-    except OSError:
-        return {}
-    except ValueError as exc:
-        warnings.warn(f"checkpoint {path} is corrupt ({exc}); "
-                      f"resuming from scratch", stacklevel=2)
-        return {}
-    out = {}
-    try:
-        for key, c in payload["checkpoints"].get(title, {}).items():
-            g, v, t = key.split(_SEP, 2)
-            out[(g, v, int(t))] = float("nan") if c is None else float(c)
-    except (AttributeError, TypeError, ValueError) as exc:
-        warnings.warn(f"checkpoint {path} has malformed cells ({exc}); "
-                      f"resuming from scratch", stacklevel=2)
-        return {}
-    return out
-
-
-def _load_checkpoint_payload(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if "checkpoints" not in payload or not isinstance(payload["checkpoints"], dict):
-        raise ValueError(f"{path}: not a checkpoint file")
-    return payload

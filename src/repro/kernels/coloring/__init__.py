@@ -4,8 +4,6 @@ parallel speculative algorithm (Alg. 2-4), and validation."""
 from repro.kernels.coloring.sequential import greedy_coloring, greedy_coloring_stamp
 from repro.kernels.coloring.parallel import ColoringRun, parallel_coloring
 from repro.kernels.coloring.verify import verify_coloring, count_conflicts
-from repro.kernels.coloring.distance2 import (greedy_distance2_coloring,
-                                              verify_distance2_coloring)
 from repro.kernels.coloring.jones_plassmann import (jones_plassmann_coloring,
                                                     simulate_jones_plassmann,
                                                     JonesPlassmannRun)
@@ -17,8 +15,6 @@ __all__ = [
     "parallel_coloring",
     "verify_coloring",
     "count_conflicts",
-    "greedy_distance2_coloring",
-    "verify_distance2_coloring",
     "jones_plassmann_coloring",
     "simulate_jones_plassmann",
     "JonesPlassmannRun",

@@ -242,40 +242,6 @@ class TestResilience:
         assert math.isnan(panel.baselines["g1"])
 
 
-class TestCheckpointResume:
-    def test_resume_skips_finished_retries_failed(self, tmp_path):
-        import math
-        path = tmp_path / "ck.json"
-        state = {"fail": True, "calls": []}
-
-        def runner(g, v, t):
-            state["calls"].append((g, v, t))
-            if t == 10 and state["fail"]:
-                raise RuntimeError("first pass fails")
-            return 100.0 / t
-
-        p1 = run_panel("p", runner, ["A"], graphs=["g1"], threads=[1, 10],
-                       retries=0, checkpoint=path)
-        assert math.isnan(p1.per_graph[("A", "g1")][1])
-        assert path.exists()
-
-        state["fail"] = False
-        first_pass = list(state["calls"])
-        p2 = run_panel("p", runner, ["A"], graphs=["g1"], threads=[1, 10],
-                       retries=0, checkpoint=path)
-        resumed = state["calls"][len(first_pass):]
-        assert resumed == [("g1", "A", 10)]  # finite cell skipped, NaN retried
-        assert not p2.failures
-        assert p2.series["A"][1] == pytest.approx(10.0)
-
-    def test_checkpoint_default_from_env(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.json"
-        monkeypatch.setenv("REPRO_CHECKPOINT", str(path))
-        run_panel("p", TestRunPanel.runner, ["fast"], graphs=["g1"],
-                  threads=[1])
-        assert path.exists()
-
-
 class TestParallelPanel:
     def test_jobs2_bitwise_identical_to_serial(self):
         kw = dict(variants=["fast", "slow"], graphs=["g1", "g2"],
@@ -353,6 +319,58 @@ class TestStoreBackedPanel:
         run_panel("p", runner, **kw)
         run_panel("p", runner, **kw)
         assert len(calls) == 1
+
+    def test_rerun_recomputes_only_the_failed_cell(self, tmp_path):
+        import math
+        from repro.campaign.store import ResultStore
+        store = ResultStore(tmp_path)
+        state = {"fail": True, "calls": []}
+
+        def runner(g, v, t):
+            state["calls"].append((g, v, t))
+            if t == 10 and state["fail"]:
+                raise RuntimeError("first pass fails")
+            return 100.0 / t
+
+        kw = dict(variants=["A"], graphs=["g1"], threads=[1, 10],
+                  retries=0, store=store)
+        p1 = run_panel("p", runner, **kw)
+        assert math.isnan(p1.per_graph[("A", "g1")][1])
+        assert store.get({"panel": "p", "graph": "g1", "variant": "A",
+                          "threads": 10}) is None  # NaN is never stored
+
+        state["fail"] = False
+        first_pass = len(state["calls"])
+        p2 = run_panel("p", runner, **kw)
+        assert state["calls"][first_pass:] == [("g1", "A", 10)]
+        assert not p2.failures
+        assert p2.series["A"][1] == pytest.approx(10.0)
+
+    def test_interrupted_sweep_resumes_from_store(self, tmp_path):
+        from repro.campaign.store import ResultStore
+        store = ResultStore(tmp_path)
+        state = {"stop_at": 3, "calls": []}
+
+        def runner(g, v, t):
+            state["calls"].append((g, v, t))
+            if len(state["calls"]) == state["stop_at"]:
+                raise KeyboardInterrupt
+            return 100.0 / t
+
+        kw = dict(variants=["A", "B"], graphs=["g1"], threads=[1, 10],
+                  store=store)
+        with pytest.raises(KeyboardInterrupt):
+            run_panel("p", runner, **kw)
+        finished = state["calls"][:state["stop_at"] - 1]
+
+        state["stop_at"] = None
+        first_pass = len(state["calls"])
+        panel = run_panel("p", runner, **kw)
+        every = [("g1", v, t) for v in ("A", "B") for t in (1, 10)]
+        assert state["calls"][first_pass:] == \
+            [c for c in every if c not in finished]
+        assert not panel.failures
+        assert np.allclose(panel.per_graph[("B", "g1")], [1.0, 10.0])
 
 
 class TestBaselinePoint:

@@ -81,70 +81,3 @@ class TestFailuresRoundTrip:
         col = [q.per_graph[("A", "g1")][1], q.per_graph[("A", "g2")][1]]
         assert geomean(col) == pytest.approx(20.0)
 
-
-class TestCheckpoint:
-    def test_roundtrip_with_nan(self, tmp_path):
-        import math
-        from repro.experiments.save import load_checkpoint, save_checkpoint
-        path = tmp_path / "ck.json"
-        cells = {("g1", "A", 1): 1000.0, ("g1", "A", 31): float("nan")}
-        save_checkpoint(path, "panel", cells)
-        loaded = load_checkpoint(path, "panel")
-        assert loaded[("g1", "A", 1)] == 1000.0
-        assert math.isnan(loaded[("g1", "A", 31)])
-        assert set(loaded) == set(cells)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        from repro.experiments.save import load_checkpoint
-        assert load_checkpoint(tmp_path / "nope.json", "panel") == {}
-
-    def test_unknown_title_is_empty(self, tmp_path):
-        from repro.experiments.save import load_checkpoint, save_checkpoint
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, "a", {("g", "v", 1): 1.0})
-        assert load_checkpoint(path, "b") == {}
-
-    def test_titles_merge_in_one_file(self, tmp_path):
-        from repro.experiments.save import load_checkpoint, save_checkpoint
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, "a", {("g", "v", 1): 1.0})
-        save_checkpoint(path, "b", {("g", "v", 2): 2.0})
-        assert load_checkpoint(path, "a") == {("g", "v", 1): 1.0}
-        assert load_checkpoint(path, "b") == {("g", "v", 2): 2.0}
-
-    def test_corrupt_file_overwritten_not_crashed(self, tmp_path):
-        from repro.experiments.save import load_checkpoint, save_checkpoint
-        path = tmp_path / "ck.json"
-        path.write_text("{not json")
-        save_checkpoint(path, "a", {("g", "v", 1): 1.0})
-        assert load_checkpoint(path, "a") == {("g", "v", 1): 1.0}
-
-    def test_no_tmp_file_left_behind(self, tmp_path):
-        from repro.experiments.save import save_checkpoint
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, "a", {("g", "v", 1): 1.0})
-        assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
-
-    def test_truncated_checkpoint_warns_and_resumes_empty(self, tmp_path):
-        from repro.experiments.save import load_checkpoint, save_checkpoint
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, "a", {("g", "v", 1): 1.0})
-        path.write_text(path.read_text()[:20])  # simulate a crash mid-copy
-        with pytest.warns(UserWarning, match="corrupt"):
-            assert load_checkpoint(path, "a") == {}
-
-    def test_foreign_json_warns_and_resumes_empty(self, tmp_path):
-        from repro.experiments.save import load_checkpoint
-        path = tmp_path / "ck.json"
-        path.write_text('{"something": "else"}')
-        with pytest.warns(UserWarning, match="corrupt"):
-            assert load_checkpoint(path, "a") == {}
-
-    def test_malformed_cells_warn_and_resume_empty(self, tmp_path):
-        import json
-        from repro.experiments.save import load_checkpoint
-        path = tmp_path / "ck.json"
-        path.write_text(json.dumps(
-            {"checkpoints": {"a": {"no-separators-here": 1.0}}}))
-        with pytest.warns(UserWarning, match="malformed"):
-            assert load_checkpoint(path, "a") == {}

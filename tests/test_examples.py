@@ -17,7 +17,6 @@ def run_example(name, timeout=600):
 
 @pytest.mark.parametrize("name,expect", [
     ("quickstart.py", "parallel layered BFS produced the exact same"),
-    ("applications.py", "task scheduling"),
 ])
 def test_example_runs(name, expect):
     result = run_example(name)
@@ -28,6 +27,6 @@ def test_example_runs(name, expect):
 def test_all_examples_exist_and_compile():
     import py_compile
     names = [f for f in os.listdir(EXAMPLES) if f.endswith(".py")]
-    assert len(names) >= 5
+    assert len(names) >= 4
     for name in names:
         py_compile.compile(os.path.join(EXAMPLES, name), doraise=True)
