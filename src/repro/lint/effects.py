@@ -9,12 +9,18 @@ cross-module rules reason about:
   plain-``Name`` arguments so array footprints map through helpers;
 * subscripted writes (``x[i] = ...``, ``x[i] += ...``,
   ``np.add.at(x, ...)``) — the raw material of static
-  :class:`~repro.kernels.base.AccessSet` inference;
+  :class:`~repro.kernels.base.AccessSet` inference.  A closure's write
+  to a name it does not bind itself is also credited to the nearest
+  enclosing function that has the name as a parameter (chunk bodies
+  are closures over the kernel's shared arrays);
 * ``open(...)`` sites with their mode and a tmp-file heuristic — the
   raw material of the crash-safety write-protocol rule;
 * calls through observer/checker handles that are *not* behind the
-  ``is not None`` gate — the raw material of the transitive
-  observer-gating rule.
+  ``is not None`` gate — the raw material of the observer-gating
+  rule.
+
+Every ``def`` gets a summary, whatever statement holds it (``try`` /
+``except``, ``with`` / ``async with``, loops, ``match``, ...).
 
 Extraction is purely syntactic and intentionally approximate; the
 DESIGN.md analyzer section documents the imprecision sources.
@@ -23,7 +29,7 @@ DESIGN.md analyzer section documents the imprecision sources.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.astutil import (const_str, guards_with_not_none,
                                 handle_base)
@@ -173,6 +179,13 @@ class _FnVisitor:
                  import_bound: set[str]):
         self.fn = fn
         self.import_bound = import_bound
+        self.params = tuple(
+            a.arg for a in (fn.args.posonlyargs + fn.args.args
+                            + fn.args.kwonlyargs)
+            if a.arg not in ("self", "cls"))
+        # Names the body binds (assignment targets, nested def/class
+        # names): a closure write to one of these is to its own local.
+        self.bound: set[str] = set()
         self.calls: list[CallSite] = []
         self.sub_writes: list[tuple[str, int]] = []
         self.opens: list[OpenOp] = []
@@ -188,8 +201,11 @@ class _FnVisitor:
     def _visit(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
+            self.bound.add(node.name)
             return                   # separate summary
-        if isinstance(node, ast.Assign):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            self.bound.add(node.id)
+        elif isinstance(node, ast.Assign):
             self._record_assign(node)
         elif isinstance(node, ast.AugAssign):
             self._record_sub_target(node.target)
@@ -255,47 +271,58 @@ class _FnVisitor:
             line=call.lineno, mode=mode, target=target,
             tmpish=_is_tmpish(target) or _is_tmpish(resolved)))
 
-
-@dataclass
-class _Scope:
-    prefix: str
-    class_name: str
+    def credit_enclosing(self, enclosing: tuple[_FnVisitor, ...]) -> None:
+        """Credit each write to a name this function does not bind to
+        the nearest enclosing function that has it as a parameter."""
+        for name, line in self.sub_writes:
+            if name in self.params or name in self.bound:
+                continue
+            for outer in reversed(enclosing):
+                if name in outer.params:
+                    outer.sub_writes.append((name, line))
+                    break
+                if name in outer.bound:
+                    break
 
 
 def extract_functions(tree: ast.Module,
                       import_bound: set[str]) -> dict[str, FunctionSummary]:
     """All function summaries of a module, keyed by qualified name."""
-    out: dict[str, FunctionSummary] = {}
+    found: list[tuple[str, str, _FnVisitor]] = []
 
-    def walk(body: list[ast.stmt], scope: _Scope) -> None:
+    def walk(body: list[ast.stmt], prefix: str, class_name: str,
+             enclosing: tuple[_FnVisitor, ...]) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qname = f"{scope.prefix}{node.name}"
-                params = tuple(
-                    a.arg for a in (node.args.posonlyargs + node.args.args
-                                    + node.args.kwonlyargs)
-                    if a.arg not in ("self", "cls"))
+                qname = f"{prefix}{node.name}"
                 visitor = _FnVisitor(node, import_bound)
                 visitor.run()
-                summary = FunctionSummary(
-                    qname=qname, name=node.name, line=node.lineno,
-                    is_async=isinstance(node, ast.AsyncFunctionDef),
-                    class_name=scope.class_name, params=params,
-                    calls=tuple(visitor.calls),
-                    sub_writes=tuple(visitor.sub_writes),
-                    opens=tuple(visitor.opens),
-                    ungated_obs=tuple(visitor.ungated))
-                if qname not in out:     # first def wins (overloads)
-                    out[qname] = summary
-                walk(node.body, _Scope(prefix=f"{qname}.",
-                                       class_name=scope.class_name))
+                visitor.credit_enclosing(enclosing)
+                found.append((qname, class_name, visitor))
+                walk(node.body, f"{qname}.", class_name,
+                     (*enclosing, visitor))
             elif isinstance(node, ast.ClassDef):
-                walk(node.body, _Scope(prefix=f"{scope.prefix}{node.name}.",
-                                       class_name=node.name))
-            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For,
-                                   ast.While)):
+                walk(node.body, f"{prefix}{node.name}.", node.name,
+                     enclosing)
+            else:
                 for sub in ast.iter_child_nodes(node):
-                    if isinstance(sub, ast.stmt):
-                        walk([sub], scope)
-    walk(tree.body, _Scope(prefix="", class_name=""))
+                    if isinstance(sub, (ast.ExceptHandler, ast.match_case)):
+                        walk(sub.body, prefix, class_name, enclosing)
+                    elif isinstance(sub, ast.stmt):
+                        walk([sub], prefix, class_name, enclosing)
+    walk(tree.body, "", "", ())
+
+    out: dict[str, FunctionSummary] = {}
+    for qname, class_name, visitor in found:
+        if qname in out:             # first def wins (overloads)
+            continue
+        fn = visitor.fn
+        out[qname] = FunctionSummary(
+            qname=qname, name=fn.name, line=fn.lineno,
+            is_async=isinstance(fn, ast.AsyncFunctionDef),
+            class_name=class_name, params=visitor.params,
+            calls=tuple(visitor.calls),
+            sub_writes=tuple(visitor.sub_writes),
+            opens=tuple(visitor.opens),
+            ungated_obs=tuple(visitor.ungated))
     return out

@@ -14,8 +14,8 @@ byte-identical for any job count.
 **Phase 2** (serial) merges payloads into a
 :class:`~repro.lint.index.ProjectIndex`, runs the cross-module index
 rules (static footprints, crash-safety protocol, asyncio hygiene,
-transitive observer gating) over the resolved call graph, then the
-project finalizers (env-var documentation).
+observer gating) over the resolved call graph, then the project
+finalizers (env-var documentation).
 
 Findings are filtered through two escape hatches, both requiring a
 written rationale:

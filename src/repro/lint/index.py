@@ -51,8 +51,10 @@ class ModuleSummary:
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
+    #: ``.writes(...)`` names only: a ``.benign_race(...)`` annotation
+    #: adds no footprint entry, so it declares nothing to the checker.
     declared_writes: frozenset[str] = frozenset()
-    declared_reads: frozenset[str] = frozenset()
+    benign_races: frozenset[str] = frozenset()
     uses_access_sets: bool = False
 
 
@@ -129,10 +131,11 @@ def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
 
 def _declared_arrays(tree: ast.Module) -> tuple[frozenset[str],
                                                 frozenset[str], bool]:
-    """String-literal array names in AccessSet builder chains."""
+    """String-literal array names of ``.writes(...)`` and of
+    ``.benign_race(...)`` in AccessSet builder chains, and whether the
+    module builds an AccessSet at all."""
     from repro.lint.astutil import const_str, walk_calls
-    writes: set[str] = set()
-    reads: set[str] = set()
+    declared: dict[str, set[str]] = {"writes": set(), "benign_race": set()}
     uses = False
     for call in walk_calls(tree):
         func = call.func
@@ -141,13 +144,10 @@ def _declared_arrays(tree: ast.Module) -> tuple[frozenset[str],
         if not isinstance(func, ast.Attribute) or not call.args:
             continue
         name = const_str(call.args[0])
-        if name is None:
-            continue
-        if func.attr in ("writes", "benign_race"):
-            writes.add(name)
-        elif func.attr == "reads":
-            reads.add(name)
-    return frozenset(writes), frozenset(reads), uses
+        if name is not None and func.attr in declared:
+            declared[func.attr].add(name)
+    return (frozenset(declared["writes"]),
+            frozenset(declared["benign_race"]), uses)
 
 
 def summarize_module(tree: ast.Module, relpath: str,
@@ -171,11 +171,11 @@ def summarize_module(tree: ast.Module, relpath: str,
                 pass
         classes[node.name] = ClassSummary(
             name=node.name, bases=tuple(bases), methods=methods)
-    writes, reads, uses = _declared_arrays(tree)
+    writes, benign, uses = _declared_arrays(tree)
     return ModuleSummary(
         relpath=relpath, module=module, imports=_import_map(tree, module),
         classes=classes, functions=functions, declared_writes=writes,
-        declared_reads=reads, uses_access_sets=uses)
+        benign_races=benign, uses_access_sets=uses)
 
 
 @dataclass

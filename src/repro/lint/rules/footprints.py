@@ -1,21 +1,12 @@
-"""Footprint completeness: the static half of :mod:`repro.check`.
+"""Footprint presence: the per-file half of the footprint rules.
 
-The happens-before checker can only see races on arrays a kernel
-*declares* in its :class:`~repro.kernels.base.AccessSet`; an
-undeclared shared array is silently unchecked — exactly the blind spot
-Çatalyürek et al. (arXiv:1205.3809) warn about for speculative kernels.
-Two rules close it statically:
-
-* ``fp-missing-access`` — a kernel ``parallel_for`` without an
-  ``access=`` footprint simulates shared work the checker cannot see;
-* ``fp-undeclared-write`` — a replay/chunk-body function that
-  subscript-writes a parameter array whose name no ``.writes(...)``
-  declaration in the module covers.
-
-The write inference is deliberately syntactic: parameter arrays are the
-shared state handed into chunk bodies, locals are scratch.  Annotate
-genuine bookkeeping arrays (e.g. replay timestamps) with an inline
-``# repro: ignore[fp-undeclared-write] <why>``.
+The happens-before checker in :mod:`repro.check` audits only regions
+that hand ``parallel_for`` an :class:`~repro.kernels.base.AccessSet`.
+``fp-missing-access`` flags a kernel ``parallel_for`` without an
+``access=`` footprint: shared work the checker cannot see at all.
+Whether a declared footprint *covers* every written array is a
+whole-program question, answered by ``fp-undeclared-write`` in
+:mod:`repro.lint.rules.static_footprints`.
 """
 
 from __future__ import annotations
@@ -23,14 +14,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import const_str, walk_calls
+from repro.lint.astutil import walk_calls
 from repro.lint.findings import SEV_ERROR, Finding
 from repro.lint.registry import KERNEL_SCOPE, ModuleContext, rule
 
 __all__: list[str] = []
-
-#: numpy in-place scatter helpers: ``np.add.at(arr, idx, v)`` writes arr.
-_INPLACE_AT_HELPERS = {"at"}
 
 
 @rule("fp-missing-access", SEV_ERROR,
@@ -51,88 +39,3 @@ def check_missing_access(ctx: ModuleContext) -> Iterator[Finding]:
             "fp-missing-access", call,
             "parallel_for(...) without access=: the concurrency checker "
             "sees no footprint for this region")
-
-
-def _declared_arrays(tree: ast.Module) -> tuple[set[str], set[str], bool]:
-    """(declared_writes, declared_reads, module_uses_access_sets).
-
-    Collects the string-literal array names handed to ``.writes(...)``
-    and ``.reads(...)`` in AccessSet builder chains.
-    """
-    writes: set[str] = set()
-    reads: set[str] = set()
-    uses = False
-    for call in walk_calls(tree):
-        func = call.func
-        if isinstance(func, ast.Name) and func.id == "AccessSet":
-            uses = True
-        if not isinstance(func, ast.Attribute) or not call.args:
-            continue
-        name = const_str(call.args[0])
-        if name is None:
-            continue
-        if func.attr == "writes":
-            writes.add(name)
-        elif func.attr == "reads":
-            reads.add(name)
-    return writes, reads, uses
-
-
-def _param_writes(fn: ast.FunctionDef) -> Iterator[tuple[str, ast.AST]]:
-    """Subscript writes to parameter arrays inside *fn*.
-
-    Yields ``(param_name, node)`` for ``param[idx] = ...``,
-    ``param[idx] += ...`` and in-place scatters ``np.<op>.at(param, ...)``.
-    Nested functions are walked too (closures are the chunk bodies).
-    """
-    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs
-              if a.arg not in ("self", "cls")}
-    if fn.args.vararg is not None:
-        params.add(fn.args.vararg.arg)
-    for node in ast.walk(fn):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _INPLACE_AT_HELPERS and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Name) and first.id in params:
-                yield first.id, node
-            continue
-        for target in targets:
-            if isinstance(target, ast.Tuple):
-                targets.extend(target.elts)
-                continue
-            if isinstance(target, ast.Subscript) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id in params:
-                yield target.value.id, target
-
-
-@rule("fp-undeclared-write", SEV_ERROR,
-      "a kernel chunk/replay body writes a shared parameter array that "
-      "no AccessSet .writes(...) in the module declares — the checker "
-      "is blind to races on it",
-      scope=KERNEL_SCOPE)
-def check_undeclared_writes(ctx: ModuleContext) -> Iterator[Finding]:
-    """Cross-check inferred parameter-array writes against the module's
-    declared AccessSet write footprints."""
-    declared_writes, _reads, uses = _declared_arrays(ctx.tree)
-    if not uses:
-        # Modules that never build an AccessSet (sequential kernels,
-        # verification helpers) have no footprint contract to check.
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        for name, site in _param_writes(node):
-            if name in declared_writes:
-                continue
-            yield ctx.finding(
-                "fp-undeclared-write", site,
-                f"'{node.name}' writes parameter array '{name}' but no "
-                f"AccessSet in this module declares .writes({name!r}, "
-                "...)")

@@ -1,17 +1,19 @@
-"""Observer gating, upgraded with the call graph (whole-program rule).
+"""Observer gating: telemetry/checker hooks stay one comparison when off.
 
-The per-file ``obs-ungated`` rule enforces the "one ``is not None``
-comparison when off" telemetry contract inside the simulated core, but
-it cannot see a hot-path function delegating to a helper *outside*
-``SIM_SCOPE`` that touches an observer handle unguarded — the helper's
-module is out of scope, the caller's call is just a call.  This rule
-closes that hole: starting from every function in a ``SIM_SCOPE``
-module, walk call edges into out-of-scope modules and report paths
-that reach an ungated handle call, with the full chain as evidence.
+The telemetry (:mod:`repro.obs`) and concurrency-checking
+(:mod:`repro.check`) layers promise zero perturbation when inactive:
+handles are captured once (``self.trace = _obs_tracer.active()``) and
+every use sits behind a single ``is not None`` test.  A hook call that
+skips the null check crashes every uninstrumented run — or worse, gets
+"fixed" with a try/except that hides the cost asymmetry.
 
-In-scope callees are deliberately not traversed: their ungated calls
-are already direct ``obs-ungated`` findings, and double-reporting the
-same site under two ids would force double suppressions.
+``obs-ungated`` enforces the idiom over the call graph.  Every function
+in a ``SIM_SCOPE`` module reports its own ungated handle calls at the
+call site; it also walks call edges into helpers *outside* the scope
+and reports paths that reach an ungated handle call there, anchored at
+the in-scope call with the full chain as evidence.  In-scope callees
+are not traversed: their ungated calls are their own findings, so each
+site is reported once.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ __all__: list[str] = []
 
 _MAX_DEPTH = 6
 
-declare_rule("obs-ungated-transitive", SEV_ERROR,
-             "a simulated-core function calls an out-of-scope helper "
-             "that uses an observer/checker handle without the `is "
-             "not None` gate; the off path must stay one comparison "
-             "even across modules")
+declare_rule("obs-ungated", SEV_ERROR,
+             "calls into repro.obs / repro.check handles from the "
+             "simulated core, directly or through out-of-scope helpers, "
+             "must sit behind the single `is not None` null check so "
+             "the off path stays one comparison and uninstrumented runs "
+             "cannot crash")
 
 
 def _in_sim_scope(relpath: str) -> bool:
@@ -43,7 +46,8 @@ def _in_sim_scope(relpath: str) -> bool:
 @index_rule
 def check_transitive_gating(index: ProjectIndex,
                             project: Project) -> Iterator[Finding]:
-    """Walk SIM_SCOPE → out-of-scope call edges to ungated obs calls."""
+    """Report each SIM_SCOPE function's own ungated obs calls, then walk
+    its out-of-scope call edges to ungated obs calls in helpers."""
     sim_mods = [rel for rel in sorted(index.modules)
                 if _in_sim_scope(rel)]
     if not sim_mods:
@@ -55,6 +59,11 @@ def check_transitive_gating(index: ProjectIndex,
         for qname in sorted(mod.functions):
             root: FnKey = (relpath, qname)
             root_fn = mod.functions[qname]
+            for line, handle in root_fn.ungated_obs:
+                yield Finding(
+                    rule="obs-ungated", path=relpath, line=line,
+                    message=(f"hook call through {handle} is not "
+                             f"guarded by `if {handle} is not None:`"))
             reported: set[tuple[str, int]] = set()
             queue: list[tuple[FnKey, tuple[ChainHop, ...]]] = []
             seen: set[FnKey] = {root}
@@ -84,7 +93,7 @@ def check_transitive_gating(index: ProjectIndex,
                         chain = (*hops, ChainHop(
                             key[0], line, f"{handle}.<hook>(...)"))
                         yield Finding(
-                            rule="obs-ungated-transitive",
+                            rule="obs-ungated",
                             path=relpath, line=hops[0].line,
                             message=(
                                 f"'{root_fn.qname}' reaches an "

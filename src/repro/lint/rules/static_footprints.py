@@ -1,27 +1,33 @@
-"""Static AccessSet inference: the whole-program footprint rules.
+"""Static AccessSet inference: the footprint-completeness rules.
 
-The per-file ``fp-undeclared-write`` rule only sees writes a function
-makes *itself*; a chunk body that delegates to a helper —
-``_replay(...)`` calling ``_wave_step(..., colors, ...)`` which does
-``colors[verts] = ...`` — slips past it, which is exactly the
-under-declared speculative access Rokos et al. (arXiv:1505.04086)
-identify as where coloring implementations go wrong.  These two rules
-close the gap over the project call graph:
+The happens-before checker can only see races on arrays a kernel
+*declares* in its :class:`~repro.kernels.base.AccessSet`; an
+undeclared shared array is silently unchecked — the blind spot
+Çatalyürek et al. (arXiv:1205.3809) warn about for speculative
+kernels, and the under-declared speculative access Rokos et al.
+(arXiv:1505.04086) identify as where coloring implementations go
+wrong.  Two rules close it over the project call graph:
 
-* ``fp-undeclared-write-transitive`` (error) — a function in an
-  AccessSet-declaring kernel module passes a parameter array to a
-  callee (any module, any depth) that subscript-writes it, and no
-  ``.writes(...)`` in the kernel module covers that array name.  The
-  finding anchors at the call site and carries the full chain down to
-  the concrete write.
-* ``fp-overbroad-footprint`` (warning) — a ``.writes("name", ...)``
-  declaration whose array is never written anywhere in the module,
-  directly or through any resolved callee: dead weight that makes the
-  race checker look stronger than it is.
+* ``fp-undeclared-write`` (error) — a function in an
+  AccessSet-declaring kernel module writes a parameter array that no
+  ``.writes(...)`` in the module covers: itself (``colors[v] = c``,
+  ``np.add.at(colors, ...)``), in a closure chunk body over the
+  parameter, or by passing it to a callee (any module, any depth) that
+  writes it.  A direct write anchors at the write; a delegated one
+  anchors at the call site and carries the full chain down to the
+  concrete write.  ``.benign_race(...)`` declares nothing here: it adds
+  no footprint entry, so the checker still cannot see the array.
+* ``fp-overbroad-footprint`` (warning) — a ``.writes("name", ...)`` or
+  ``.benign_race("name", ...)`` whose array is never written anywhere
+  in the module, directly or through any resolved callee: dead weight
+  that makes the race checker look stronger than it is.
 
 Both match arrays by *name* (the AccessSet convention: the declared
 label is the chunk-function parameter name) — a renamed pass-through
 parameter defeats the diff and is the documented imprecision here.
+Annotate genuine bookkeeping arrays (e.g. replay timestamps) with an
+inline ``# repro: ignore[fp-undeclared-write] <why>`` at either end of
+the chain.
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ __all__: list[str] = []
 
 _KERNEL_FRAGMENT = "repro/kernels/"
 
-declare_rule("fp-undeclared-write-transitive", SEV_ERROR,
-             "a kernel function hands a parameter array to a helper "
-             "that writes it, but no AccessSet .writes(...) in the "
-             "kernel module declares the array — the race checker is "
-             "blind to it through the whole call chain")
+declare_rule("fp-undeclared-write", SEV_ERROR,
+             "a kernel function writes a parameter array (itself, in a "
+             "closure, or through helpers) that no AccessSet "
+             ".writes(...) in the kernel module declares — the race "
+             "checker is blind to it")
 declare_rule("fp-overbroad-footprint", SEV_WARNING,
              "an AccessSet declares .writes(...) on an array nothing "
              "in the module writes (directly or through helpers); "
@@ -58,8 +64,8 @@ def _chain_hops(chain: Chain) -> tuple[ChainHop, ...]:
 @index_rule
 def check_transitive_footprints(index: ProjectIndex,
                                 project: Project) -> Iterator[Finding]:
-    """Diff transitively inferred parameter writes against each kernel
-    module's declared AccessSet write footprints."""
+    """Diff direct and transitively inferred parameter writes against
+    each kernel module's declared AccessSet write footprints."""
     kernel_mods = [rel for rel in sorted(index.modules)
                    if _KERNEL_FRAGMENT in rel
                    and index.modules[rel].uses_access_sets]
@@ -74,18 +80,26 @@ def check_transitive_footprints(index: ProjectIndex,
         written_names: set[str] = set()
         for qname in sorted(mod.functions):
             fn = mod.functions[qname]
+            for name, line in sorted(set(fn.param_writes())):
+                if name in declared:
+                    continue
+                yield Finding(
+                    rule="fp-undeclared-write", path=relpath, line=line,
+                    message=(
+                        f"parameter array '{name}' of '{qname}' is "
+                        "written here, but no AccessSet in this module "
+                        f"declares .writes({name!r}, ...)"))
             writes = inferred.get((relpath, qname), {})
             written_names.update(writes)
             for name in sorted(writes):
                 chain = writes[name]
                 if len(chain) < 2:
-                    continue         # direct write: per-file rule's job
+                    continue         # direct write: reported above
                 if name not in fn.params or name in declared:
                     continue
-                anchor_line = chain[0][1]
                 yield Finding(
-                    rule="fp-undeclared-write-transitive",
-                    path=relpath, line=anchor_line,
+                    rule="fp-undeclared-write",
+                    path=relpath, line=chain[0][1],
                     message=(
                         f"'{qname}' passes parameter array '{name}' "
                         f"down a call chain that writes it, but no "
@@ -93,7 +107,7 @@ def check_transitive_footprints(index: ProjectIndex,
                         f".writes({name!r}, ...); chain: "
                         f"{render_chain(_chain_hops(chain))}"),
                     chain=_chain_hops(chain))
-        for name in sorted(declared - written_names):
+        for name in sorted((declared | mod.benign_races) - written_names):
             line = _declaration_line(project, relpath, name)
             yield Finding(
                 rule="fp-overbroad-footprint", path=relpath, line=line,

@@ -17,7 +17,7 @@ from tests.lint.conftest import rules_fired
 # ----------------------------------------------------------------- fixtures
 
 #: Kernel module whose chunk body delegates the write to a helper in a
-#: different (non-kernel) module — invisible to the per-file rule.
+#: different (non-kernel) module.
 _KERNEL_CALLER = """\
     from repro.support import scatter
 
@@ -74,7 +74,7 @@ def test_transitive_undeclared_write_names_full_chain(run_lint):
     result = run_lint({"repro/kernels/alpha.py": _KERNEL_CALLER,
                        "repro/support.py": _KERNEL_HELPER})
     hits = [f for f in result.findings
-            if f.rule == "fp-undeclared-write-transitive"]
+            if f.rule == "fp-undeclared-write"]
     assert len(hits) == 1
     finding = hits[0]
     assert finding.path == "repro/kernels/alpha.py"
@@ -95,14 +95,14 @@ def test_transitive_footprint_suppressed_at_caller(run_lint):
 
         def chunk(lo, hi, colors, out):
             out[lo] = 0
-            # repro: ignore[fp-undeclared-write-transitive] replay
+            # repro: ignore[fp-undeclared-write] replay
             # bookkeeping, not simulated shared state
             scatter(colors, lo, hi)
         """
     result = run_lint({"repro/kernels/alpha.py": caller,
                        "repro/support.py": _KERNEL_HELPER})
-    assert "fp-undeclared-write-transitive" not in rules_fired(result)
-    assert any(f.rule == "fp-undeclared-write-transitive"
+    assert "fp-undeclared-write" not in rules_fired(result)
+    assert any(f.rule == "fp-undeclared-write"
                for f in result.suppressed)
 
 
@@ -120,6 +120,72 @@ def test_overbroad_footprint_warns_on_dead_declaration(run_lint):
     assert len(hits) == 1
     assert "'ghost'" in hits[0].message
     assert result.ok                              # warning, not error
+
+
+def test_closure_write_to_enclosing_parameter_fires(run_lint):
+    result = run_lint({"repro/kernels/delta.py": """\
+        def footprint():
+            return AccessSet("delta").writes("colors", None)
+
+
+        def run(spec, colors, write_time):
+            def body(lo, hi):
+                colors[lo] = 1
+                write_time[lo] = 1
+
+            def scratch(lo, hi):
+                write_time = [0] * hi
+                write_time[lo] = 1
+
+            return spec.parallel_for(body, access=footprint())
+        """})
+    hits = [f for f in result.findings
+            if f.rule == "fp-undeclared-write"]
+    assert [(f.line, "'write_time'" in f.message) for f in hits] \
+        == [(8, True)]                # scratch rebinds its own write_time
+
+
+def test_def_in_except_handler_is_summarised(run_lint):
+    result = run_lint({"repro/kernels/epsilon.py": """\
+        def footprint():
+            return AccessSet("epsilon").writes("colors", None)
+
+
+        try:
+            from repro.fast import replay
+        except ImportError:
+            def replay(colors, write_time, idx):
+                colors[idx] = 1
+                write_time[idx] = 2.0
+        """, "repro/sim/fallback.py": """\
+        try:
+            from repro.fast import step
+        except ImportError:
+            def step(trace, value):
+                trace.hit(value)
+        """})
+    hits = sorted((f.rule, f.path, f.line) for f in result.findings)
+    assert hits == [("fp-undeclared-write", "repro/kernels/epsilon.py", 10),
+                    ("obs-ungated", "repro/sim/fallback.py", 5)]
+
+
+def test_benign_race_is_not_a_write_declaration(run_lint):
+    result = run_lint({"repro/kernels/gamma.py": """\
+        from repro.support import scatter
+
+
+        def footprint(n):
+            return AccessSet("gamma").benign_race("colors", "speculative")
+
+
+        def chunk(lo, hi, colors):
+            scatter(colors, lo, hi)
+        """, "repro/support.py": _KERNEL_HELPER})
+    hits = [f for f in result.findings
+            if f.rule == "fp-undeclared-write"]
+    assert len(hits) == 1
+    assert "'colors'" in hits[0].message
+    assert "fp-overbroad-footprint" not in rules_fired(result)
 
 
 # ----------------------------------------------------- crash-safety family
@@ -243,6 +309,23 @@ def test_run_in_executor_escapes_reachability(run_lint):
     assert "async-blocking" not in rules_fired(result)
 
 
+def test_def_under_async_with_reached_from_coroutine(run_lint):
+    result = run_lint({"repro/serve/web.py": """\
+        import os
+
+
+        async def handle(request, lock):
+            async with lock:
+                def scan():
+                    return os.listdir(".")
+                return scan()
+        """})
+    hits = [f for f in result.findings if f.rule == "async-blocking"]
+    assert len(hits) == 1
+    assert [h.note for h in hits[0].chain] == [
+        "async def handle", "handle.scan", "os.listdir"]
+
+
 # ----------------------------------------------- observer-gating family
 
 
@@ -250,7 +333,7 @@ def test_ungated_helper_reached_from_sim_scope(run_lint):
     result = run_lint({"repro/sim/engine.py": _OBS_CALLER,
                        "repro/telemetry.py": _OBS_HELPER})
     hits = [f for f in result.findings
-            if f.rule == "obs-ungated-transitive"]
+            if f.rule == "obs-ungated"]
     assert len(hits) == 1
     finding = hits[0]
     assert finding.path == "repro/sim/engine.py"
@@ -265,18 +348,27 @@ def test_gated_helper_is_clean(run_lint):
             if trace is not None:
                 trace.hit(value)
         """})
-    assert "obs-ungated-transitive" not in rules_fired(result)
+    assert "obs-ungated" not in rules_fired(result)
 
 
 def test_obs_transitive_suppressed_at_helper_end(run_lint):
     helper = """\
         def note(trace, value):
-            # repro: ignore[obs-ungated-transitive] caller owns the gate
+            # repro: ignore[obs-ungated] caller owns the gate
             trace.hit(value)
         """
     result = run_lint({"repro/sim/engine.py": _OBS_CALLER,
                        "repro/telemetry.py": helper})
-    assert "obs-ungated-transitive" not in rules_fired(result)
+    assert "obs-ungated" not in rules_fired(result)
+
+
+def test_in_scope_ungated_helper_reported_once(run_lint):
+    caller = _OBS_CALLER.replace("repro.telemetry", "repro.machine.telemetry")
+    result = run_lint({"repro/sim/engine.py": caller,
+                       "repro/machine/telemetry.py": _OBS_HELPER})
+    hits = [(f.path, f.line, f.chain) for f in result.findings
+            if f.rule == "obs-ungated"]
+    assert hits == [("repro/machine/telemetry.py", 2, ())]
 
 
 # ------------------------------------------- fingerprints, baseline, chains
@@ -286,7 +378,7 @@ def test_fingerprint_stable_when_callee_moves_files(run_lint, tmp_path):
     first = run_lint({"repro/kernels/alpha.py": _KERNEL_CALLER,
                       "repro/support.py": _KERNEL_HELPER})
     fp_a = [f.fingerprint for f in first.findings
-            if f.rule == "fp-undeclared-write-transitive"]
+            if f.rule == "fp-undeclared-write"]
 
     moved_caller = _KERNEL_CALLER.replace("repro.support",
                                           "repro.other.helpers")
@@ -294,7 +386,7 @@ def test_fingerprint_stable_when_callee_moves_files(run_lint, tmp_path):
     second = run_lint({"repro/kernels/alpha.py": moved_caller,
                        "repro/other/helpers.py": _KERNEL_HELPER})
     fp_b = [f.fingerprint for f in second.findings
-            if f.rule == "fp-undeclared-write-transitive"]
+            if f.rule == "fp-undeclared-write"]
     assert fp_a and fp_a == fp_b     # chain is not part of the identity
 
 
