@@ -12,6 +12,9 @@ default) unless ``--no-append``; ``--output`` additionally writes the
 bare entry to a separate file for CI artifact upload.  ``compare``
 exits non-zero on regression past ``tolerance + noise floor`` — that
 exit code *is* the CI perf gate.
+``profile --trace``/``--metrics`` also records the benchmarks in one
+:class:`repro.obs.Observer` (frames labelled ``benchmark=<name>``) and
+draws the longest simulated loop above the wall-clock table.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import argparse
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stdout
 
 from repro._util import atomic_write_text
 
@@ -70,6 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="FRAC",
                       help="fail unless at least FRAC of wall time is "
                            "attributed to named subsystem buckets")
+    prof.add_argument("--trace", default=None, metavar="PATH",
+                      help="record a Chrome trace-event JSON of the "
+                           "simulated runs (open in Perfetto)")
+    prof.add_argument("--metrics", default=None, metavar="PATH",
+                      help="record per-loop metric frames as JSONL")
 
     cmp_ = sub.add_parser("compare",
                           help="gate current results against a baseline")
@@ -113,12 +121,20 @@ def _cmd_profile(args) -> int:
     from repro.bench.suite import suite_benchmarks
     benches = suite_benchmarks(args.suite, args.filter)
     profiler = WallProfiler()
-    for bench in benches:
-        print(f"profiling {bench.name} ({bench.description}) ...",
-              file=sys.stderr)
-        sink = io.StringIO()
-        with redirect_stdout(sink):
-            profiler.profile(bench.fn)
+    obs = None
+    if args.trace or args.metrics:
+        from repro.obs import Observer
+        obs = Observer()
+    with obs if obs is not None else nullcontext():
+        for bench in benches:
+            print(f"profiling {bench.name} ({bench.description}) ...",
+                  file=sys.stderr)
+            cell = obs.registry.cell(benchmark=bench.name) \
+                if obs is not None else nullcontext()
+            with cell, redirect_stdout(io.StringIO()):
+                profiler.profile(bench.fn)
+    if obs is not None:
+        _report_telemetry(obs, args.trace, args.metrics)
     report = profiler.report
     print(report.format_table(args.top))
     if args.collapsed:
@@ -130,6 +146,21 @@ def _cmd_profile(args) -> int:
               f"required {args.min_coverage:.1%}", file=sys.stderr)
         return 1
     return 0
+
+
+def _report_telemetry(obs, trace_path, metrics_path) -> None:
+    """Write the requested artifacts, then draw the longest loop."""
+    from repro.obs.gantt import longest_loop
+    obs.write(trace_path=trace_path, metrics_path=metrics_path)
+    events = obs.tracer.events
+    if trace_path:
+        print(f"trace:   {trace_path} ({len(events)} events — open in "
+              f"Perfetto)")
+    if metrics_path:
+        print(f"metrics: {metrics_path} ({len(obs.frames)} frames)")
+    print()
+    print(longest_loop(obs.frames, events))
+    print()
 
 
 def _cmd_compare(args) -> int:

@@ -10,9 +10,9 @@ Telemetry (``repro.obs``):
 
 * ``--trace PATH`` / ``--metrics PATH`` on any figure run wraps the
   whole run in an :class:`~repro.obs.Observer` and writes the Chrome
-  trace / metrics JSONL next to the ASCII output;
-* ``profile`` runs one instrumented kernel and emits both artifacts
-  plus an ASCII Gantt (see :mod:`repro.experiments.profile`);
+  trace / metrics JSONL next to the ASCII output (``repro bench
+  profile`` takes the same two options and also draws the Gantt of the
+  longest loop);
 * ``diff-metrics BASELINE CURRENT`` compares two metrics dumps and
   exits non-zero on cycle-breakdown drift past ``--threshold`` — the
   CI perf-regression gate.
@@ -73,7 +73,7 @@ from contextlib import nullcontext
 __all__ = ["main"]
 
 _CHOICES = ["table1", "fig1", "fig2", "fig3", "fig4", "fig-faults",
-            "ablations", "chunk-sweep", "profile", "diff-metrics", "all"]
+            "ablations", "chunk-sweep", "diff-metrics", "all"]
 
 #: Figure runs that honour --trace/--metrics instrumentation.
 _OBSERVABLE = {"fig1", "fig2", "fig3", "fig4", "fig-faults", "ablations",
@@ -158,20 +158,15 @@ def main(argv=None) -> int:
                              "(open in Perfetto)")
     parser.add_argument("--metrics", default=None, metavar="PATH",
                         help="record per-loop metric frames as JSONL")
-    parser.add_argument("--kernel", default="coloring",
-                        choices=["coloring", "bfs"],
-                        help="profile: kernel to instrument")
-    parser.add_argument("--graph", default="auto",
-                        help="profile: suite graph to run on")
-    parser.add_argument("--variant", default=None,
-                        help="profile: runtime variant "
-                             "(default: the kernel's OpenMP variant)")
-    parser.add_argument("--profile-threads", type=int, default=31,
-                        help="profile: simulated thread count")
     parser.add_argument("--threshold", type=float, default=None,
                         help="diff-metrics: relative drift that fails the "
                              "diff (default 0.20)")
     args = parser.parse_args(argv)
+    if args.paths and args.what != "diff-metrics":
+        parser.error(f"{args.what} takes no positional paths "
+                     f"(got {' '.join(args.paths)})")
+    if (args.trace or args.metrics) and args.what not in _OBSERVABLE:
+        parser.error(f"--trace/--metrics do not apply to {args.what}")
 
     if args.fast:
         os.environ["REPRO_FAST"] = "1"
@@ -191,23 +186,11 @@ def main(argv=None) -> int:
     what = args.what
     if what == "diff-metrics":
         return _diff_metrics(args)
-    if what == "profile":
-        from repro.experiments.profile import (DEFAULT_METRICS, DEFAULT_TRACE,
-                                               run_profile)
-        print("note: 'profile' runs one instrumented kernel; for "
-              "whole-suite wall-clock profiling and flamegraph export "
-              "use 'repro bench profile'", file=sys.stderr)
-        return run_profile(
-            kernel=args.kernel, graph=args.graph, variant=args.variant,
-            threads=args.profile_threads,
-            trace_path=args.trace or DEFAULT_TRACE,
-            metrics_path=args.metrics or DEFAULT_METRICS)
 
     from repro.experiments.report import print_panel
     from repro.experiments.table1 import run_table1
 
-    observe = (args.trace or args.metrics) and what in _OBSERVABLE
-    if observe:
+    if args.trace or args.metrics:
         from repro.obs import Observer
         obs = Observer(trace=bool(args.trace), metrics=bool(args.metrics))
     else:

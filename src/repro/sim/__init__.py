@@ -6,7 +6,6 @@ from repro.sim.engine import (Engine, Barrier, Condition, Process,
 from repro.sim.faults import FaultKind, FaultSpec, FaultPlan, FaultInjector
 from repro.sim.resources import AtomicVar, TicketLock, MemoryChannel
 from repro.sim.stats import ChunkExec, LoopStats
-from repro.sim.trace import gantt, thread_utilization, breakdown
 
 __all__ = [
     "Engine",
@@ -26,7 +25,4 @@ __all__ = [
     "MemoryChannel",
     "ChunkExec",
     "LoopStats",
-    "gantt",
-    "thread_utilization",
-    "breakdown",
 ]

@@ -1,6 +1,8 @@
 """``repro bench`` CLI: run/profile/compare/trend, exit codes, dispatch."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -52,6 +54,68 @@ class TestRun:
 
 
 class TestProfile:
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("profile")
+        trace, metrics = tmp / "trace.json", tmp / "metrics.jsonl"
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["profile", "--suite", "kernels", "--filter",
+                         "coloring", "--top", "5", "--trace", str(trace),
+                         "--metrics", str(metrics)])
+        return code, trace, metrics, buf.getvalue()
+
+    def test_exit_code(self, artifacts):
+        assert artifacts[0] == 0
+
+    def test_trace_loadable(self, artifacts):
+        events = json.loads(artifacts[1].read_text())["traceEvents"]
+        assert events
+        assert all(k in ev for ev in events
+                   for k in ("name", "ph", "ts", "pid", "tid"))
+        assert sum(e["ph"] == "B" for e in events) \
+            == sum(e["ph"] == "E" for e in events)
+
+    def test_metrics_reconcile(self, artifacts):
+        from repro.obs.export import load_metrics_jsonl
+        from repro.obs.gantt import reconciliation
+        frames = load_metrics_jsonl(artifacts[2])
+        assert frames
+        assert all(f.cell == {"benchmark": "coloring"} for f in frames)
+        worst, summary = reconciliation(frames)
+        assert worst < 0.01
+        assert "reconciliation" in summary
+
+    def test_output_mentions_artifacts(self, artifacts):
+        out = artifacts[3]
+        assert "Perfetto" in out
+        assert "longest loop" in out
+        assert "reconciliation" in out
+        # both clocks: the telemetry block precedes the wall-clock table
+        assert out.index("longest loop") \
+            < out.index("wall-clock attribution")
+
+    def test_frames_match_plain_observer_run(self, artifacts):
+        """The wall profiler around the run moves no simulated cycle."""
+        from repro.bench.suite import BENCHMARKS
+        from repro.obs import Observer
+        from repro.obs.export import load_metrics_jsonl
+        with Observer() as obs:
+            with obs.registry.cell(benchmark="coloring"):
+                BENCHMARKS["coloring"].fn()
+        assert [f.to_dict() for f in load_metrics_jsonl(artifacts[2])] \
+            == [f.to_dict() for f in obs.frames]
+
+    def test_without_telemetry_only_the_wall_table(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["profile", "--suite", "campaign", "--filter",
+                     "executor", "--min-coverage", "0.9"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("wall-clock attribution")
+        assert "longest loop" not in out and "Perfetto" not in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_profile_writes_collapsed_and_gates_coverage(self, tmp_path,
                                                          capsys):
         collapsed = tmp_path / "stacks.collapsed"
