@@ -14,10 +14,6 @@ items must move:
     Campaign executor throughput: dispatch overhead per cell (serial
     executor over a trivial runner) and the content-addressed store's
     warm hit path.
-``serve``
-    The campaign service over live HTTP on an ephemeral port: cold
-    submit-to-result latency (journal fsyncs and all) and warm-hit
-    resubmission throughput against a pre-seeded sharded store.
 ``graphs``
     The graph registry at million-vertex scale: one cold streaming
     build of ``tube:1m`` into a fresh registry, and the warm path — a
@@ -214,81 +210,6 @@ def _bench_store_hits() -> None:
         if report.hits != _EXEC_CELLS:
             raise RuntimeError(
                 f"expected {_EXEC_CELLS} hits, got {report.hits}")
-
-
-# ----- serve suite: the campaign service over live HTTP ---------------------
-
-#: Cells per service benchmark: enough to amortise server startup while
-#: keeping one repetition (journal fsyncs included) under a second.
-_SERVE_CELLS = 64
-
-
-def _serve_spec(cells: int) -> dict:
-    return {"name": "bench-serve", "experiment": "coloring",
-            "graphs": ["auto"], "variants": ["OpenMP-dynamic"],
-            "threads": list(range(1, cells + 1)), "machine": "KNF",
-            "seeds": [0], "params": {}}
-
-
-def _serve_stub_runner(cell) -> float:
-    return float(cell.threads)
-
-
-@_register("serve-submit", "serve",
-           f"HTTP submit -> results, {_SERVE_CELLS} stub cells, cold store")
-def _bench_serve_submit() -> None:
-    """Submit-to-result latency of the whole service path: HTTP parse,
-    admission, journal (fsync per record), queue, dispatch, settle,
-    results serialisation — with a stub runner so compute is nil."""
-    from repro.serve import client
-    from repro.serve.http import BackgroundServer
-    from repro.serve.service import CampaignService
-    from repro.serve.shards import ShardedResultStore
-    with _pinned_env({}), tempfile.TemporaryDirectory() as root:
-        store = ShardedResultStore(root, shards=8, cache_size=1024)
-        with BackgroundServer(lambda: CampaignService(
-                store, jobs=1, retries=0,
-                runner=_serve_stub_runner)) as url:
-            status, accepted = client.submit_job(
-                url, _serve_spec(_SERVE_CELLS), client="bench")
-            if status != 202:
-                raise RuntimeError(f"submit rejected: {status} {accepted}")
-            client.wait_for_job(url, accepted["job"], timeout=120)
-            status, _raw = client.job_results(url, accepted["job"])
-            if status != 200:
-                raise RuntimeError(f"results fetch failed: {status}")
-
-
-@_register("serve-warm-hits", "serve",
-           f"HTTP submit of {_SERVE_CELLS} store-warm cells")
-def _bench_serve_warm_hits() -> None:
-    """Warm-resubmission throughput: every cell pre-seeded in the
-    sharded store, so the whole job settles at submit time from store
-    hits — no queue, no dispatch, no compute."""
-    from repro.campaign.spec import CampaignSpec
-    from repro.serve import client
-    from repro.serve.http import BackgroundServer
-    from repro.serve.service import CampaignService
-    from repro.serve.shards import ShardedResultStore
-    with _pinned_env({}), tempfile.TemporaryDirectory() as root:
-        store = ShardedResultStore(root, shards=8, cache_size=1024)
-        spec = _serve_spec(_SERVE_CELLS)
-        for cell in CampaignSpec.from_dict(spec).expand():
-            store.put(cell.to_dict(), float(cell.threads))
-        with BackgroundServer(lambda: CampaignService(
-                store, jobs=1, retries=0,
-                runner=_serve_stub_runner)) as url:
-            status, accepted = client.submit_job(url, spec, client="bench")
-            if status != 202:
-                raise RuntimeError(f"submit rejected: {status} {accepted}")
-            cells = accepted["cells"]
-            if cells["hits"] != cells["total"]:
-                raise RuntimeError(
-                    f"expected {cells['total']} store hits, "
-                    f"got {cells['hits']}")
-            status, _raw = client.job_results(url, accepted["job"])
-            if status != 200:
-                raise RuntimeError(f"results fetch failed: {status}")
 
 
 # ----- graphs suite: registry cold build vs warm mmap load ------------------

@@ -190,8 +190,8 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
     :class:`RuntimeError` with the worker's error (parallel).  *store*
     with *spec_for* (``key -> canonical spec dict``) enables the
     content-addressed cache; *on_cell* (``key, value``) fires in the
-    parent for every completed cell (serve progress and the chaos
-    harness hook in here);
+    parent for every completed cell (the chaos harness hooks in
+    here);
     *labels_for* (``key -> dict``) labels serial cells' telemetry frames.
 
     Crash safety: *journal* (a :class:`~repro.campaign.journal.Journal`)

@@ -18,19 +18,6 @@ Record stream::
     {"type": "failed", "cell": "<cell-id>", "error": "...", "crc": ...}
     {"type": "end", "interrupted": false, "crc": ...}
 
-The campaign service (:mod:`repro.serve`) journals *jobs* through the
-same WAL — its journal is one long-lived file under
-``<store>/journals/serve/`` that accumulates across server restarts::
-
-    {"type": "job", "job": "<job-id>", "campaign": ..., "spec": {...},
-     "client": ..., "priority": 0, "crc": ...}
-    {"type": "job-end", "job": "<job-id>", "crc": ...}
-
-A job record without a matching ``job-end`` is an accepted job the
-server never finished — replay surfaces it in
-:attr:`JournalState.jobs` minus :attr:`JournalState.ended_jobs`, and a
-restarted server requeues exactly those.
-
 Replay rules: a record whose checksum does not match is *corrupt*; as
 the final line it is a crash artifact and is ignored, anywhere earlier
 it poisons the tail, so replay stops there and resumes conservatively
@@ -119,8 +106,6 @@ class JournalState:
         self.completed: dict[str, float] = {}   # cell-id -> value
         self.failed: dict[str, str] = {}        # cell-id -> error
         self.submitted: list[str] = []          # submission order
-        self.jobs: dict[str, dict] = {}         # job-id -> job record
-        self.ended_jobs: set[str] = set()       # jobs with a job-end record
         self.ended: bool = False
         self.records: int = 0                   # valid records replayed
         self.dropped_tail: bool = False         # truncated last line
@@ -192,17 +177,6 @@ class Journal:
 
     def end(self, interrupted: bool = False) -> None:
         self.append({"type": "end", "interrupted": bool(interrupted)})
-
-    def job(self, job_id: str, *, campaign: str, spec: dict, client: str,
-            priority: int = 0) -> None:
-        """Record an accepted service job (see the module docstring)."""
-        self.append({"type": "job", "job": job_id, "campaign": campaign,
-                     "spec": spec, "client": client,
-                     "priority": int(priority)})
-
-    def job_end(self, job_id: str) -> None:
-        """Record a service job whose every cell has settled."""
-        self.append({"type": "job-end", "job": job_id})
 
     def close(self) -> None:
         if self._fh is not None:
@@ -326,13 +300,5 @@ class Journal:
             state.failed[record["cell"]] = record.get("error", "")
         elif kind == "end":
             state.ended = True
-        elif kind == "job":
-            state.jobs[record["job"]] = {
-                "campaign": record.get("campaign"),
-                "spec": record.get("spec"),
-                "client": record.get("client", "anonymous"),
-                "priority": int(record.get("priority", 0))}
-        elif kind == "job-end":
-            state.ended_jobs.add(record["job"])
         # Unknown record types are ignored: forward compatibility for
         # later journal extensions.

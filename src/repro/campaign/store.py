@@ -250,13 +250,6 @@ class ResultStore:
                        if fn.endswith(".json"))
         return out
 
-    def count_objects(self) -> int:
-        """Object-file count (readable or not) — listdir only, no
-        parsing.  The cheap cardinality the serve health endpoint polls;
-        :meth:`entries` opens and checksums every file and is far too
-        heavy to run per health check."""
-        return len(self._object_paths())
-
     def verify(self, repair: bool = False) -> VerifyReport:
         """Audit every object's integrity checksum.
 
@@ -313,9 +306,9 @@ class ResultStore:
         they must never reach outside ``<root>/objects/``: quarantined
         files are evidence (``verify --repair`` put them aside precisely
         so a human can look), and ``<root>/journals/`` holds the
-        crash-recovery WALs of live campaign runs and the serve job
-        queue — deleting one silently turns "zero lost jobs" into lost
-        jobs.  The walk in :meth:`entries` only visits ``objects/``, but
+        crash-recovery WALs of live campaign runs — deleting one
+        silently turns "zero recomputation on resume" into recomputed
+        cells.  The walk in :meth:`entries` only visits ``objects/``, but
         that is an implementation detail; this guard makes the guarantee
         structural.
         """
@@ -339,8 +332,8 @@ class ResultStore:
         limit is given.
 
         Only files under ``<root>/objects/`` are ever deleted:
-        ``<root>/quarantine/`` and ``<root>/journals/`` (run WALs and
-        the serve job journal) are never visited or touched.
+        ``<root>/quarantine/`` and ``<root>/journals/`` (run WALs) are
+        never visited or touched.
         """
         removed = kept = 0
         for entry in self.entries():

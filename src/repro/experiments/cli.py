@@ -36,13 +36,6 @@ Static analysis (``repro.lint``):
   invariant checker (determinism, env hygiene, observer gating, kernel
   footprints, lock/barrier pairing) behind the CI lint gate.
 
-Campaign service (``repro.serve``):
-
-* ``repro serve start|submit|status|drain ...`` delegates to
-  :mod:`repro.serve.cli` — a stdlib-asyncio HTTP service that accepts
-  campaign specs as jobs, dedupes shared cells, and serves
-  byte-deterministic results from a sharded store.
-
 Graph registry (``repro.graphstore``):
 
 * ``repro graphs build|ls|verify|gc ...`` delegates to
@@ -50,7 +43,7 @@ Graph registry (``repro.graphstore``):
   ``tube:1m``, ``rmat:s20``) built once as checksummed ``.rgr``
   binaries and memory-mapped on every later load; with
   ``REPRO_GRAPH_DIR`` set, suite graphs everywhere (figures, campaign
-  workers, serve) resolve through the registry instead of regenerating.
+  workers) resolve through the registry instead of regenerating.
 
 Benchmarking (``repro.bench``):
 
@@ -118,9 +111,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "bench":
         from repro.bench.cli import main as bench_main
         return bench_main(list(argv[1:]))
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import main as serve_main
-        return serve_main(list(argv[1:]))
     if argv and argv[0] == "graphs":
         from repro.graphstore.cli import main as graphs_main
         return graphs_main(list(argv[1:]))

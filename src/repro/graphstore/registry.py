@@ -55,8 +55,7 @@ def registry_from_env() -> "GraphRegistry | None":
     """The process-wide registry for ``$REPRO_GRAPH_DIR``, or None.
 
     One instance per root, so every caller in the process (suite,
-    campaign workers, serve dispatch batches) shares the same mmap
-    handles and hit/miss stats.
+    campaign workers) shares the same mmap handles and hit/miss stats.
     """
     root = default_graph_dir()
     if root is None:
@@ -230,10 +229,6 @@ class GraphRegistry:
         return [os.path.join(objects, fn)
                 for fn in sorted(os.listdir(objects))
                 if fn.endswith(".rgr")]
-
-    def count_objects(self) -> int:
-        """Graph-file count — listdir only, cheap enough for health polls."""
-        return len(self._object_paths())
 
     def entries(self) -> list[GraphEntry]:
         """Every readable graph file, sorted by path.

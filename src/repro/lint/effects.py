@@ -35,16 +35,7 @@ from repro.lint.astutil import (const_str, guards_with_not_none,
                                 handle_base)
 
 __all__ = ["CallArg", "CallSite", "OpenOp", "FunctionSummary",
-           "extract_functions", "BLOCKING_OS_NAMES", "blocking_kind"]
-
-#: ``os.<name>`` calls the asyncio-hygiene rule treats as blocking I/O.
-#: ``os.path.*`` stats are deliberately absent: they are treated as
-#: cheap (documented imprecision).
-BLOCKING_OS_NAMES = frozenset({
-    "listdir", "walk", "scandir", "fsync", "fdatasync", "replace",
-    "rename", "truncate", "makedirs", "removedirs", "remove", "unlink",
-    "rmdir", "link", "symlink", "system", "popen",
-})
+           "extract_functions"]
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,6 @@ class FunctionSummary:
     qname: str                       # "f", "Class.meth", "outer.inner"
     name: str                        # last qname segment
     line: int
-    is_async: bool
     class_name: str                  # "" for module-level functions
     params: tuple[str, ...]          # positional + kwonly, no self/cls
     calls: tuple[CallSite, ...] = ()
@@ -100,26 +90,6 @@ class FunctionSummary:
         """Subscript writes whose target is one of this fn's params."""
         return tuple((n, ln) for n, ln in self.sub_writes
                      if n in self.params)
-
-
-def blocking_kind(call: CallSite) -> str | None:
-    """The blocking-I/O label for *call*, or None when not blocking.
-
-    Textual classification (``import time as t`` defeats it — a
-    documented imprecision): ``time.sleep``, ``subprocess.*``,
-    ``shutil.*``, ``socket.*`` and the :data:`BLOCKING_OS_NAMES`
-    subset of ``os.*``.  Builtin ``open`` is classified separately via
-    :class:`OpenOp` (any mode: sync file I/O blocks the loop).
-    """
-    if call.base == "time" and call.name == "sleep":
-        return "time.sleep"
-    if call.base in ("subprocess", "shutil", "socket"):
-        return f"{call.base}.{call.name}"
-    if call.base == "os" and call.name in BLOCKING_OS_NAMES:
-        return f"os.{call.name}"
-    if call.base == "" and call.name == "open":
-        return "open"
-    return None
 
 
 #: Substrings marking a path expression as a scratch/tmp target that
@@ -319,7 +289,6 @@ def extract_functions(tree: ast.Module,
         fn = visitor.fn
         out[qname] = FunctionSummary(
             qname=qname, name=fn.name, line=fn.lineno,
-            is_async=isinstance(fn, ast.AsyncFunctionDef),
             class_name=class_name, params=visitor.params,
             calls=tuple(visitor.calls),
             sub_writes=tuple(visitor.sub_writes),

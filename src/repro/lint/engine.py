@@ -13,9 +13,9 @@ byte-identical for any job count.
 
 **Phase 2** (serial) merges payloads into a
 :class:`~repro.lint.index.ProjectIndex`, runs the cross-module index
-rules (static footprints, crash-safety protocol, asyncio hygiene,
-observer gating) over the resolved call graph, then the project
-finalizers (env-var documentation).
+rules (static footprints, crash-safety protocol, observer gating)
+over the resolved call graph, then the project finalizers (env-var
+documentation).
 
 Findings are filtered through two escape hatches, both requiring a
 written rationale:
@@ -23,8 +23,8 @@ written rationale:
 * inline suppressions — ``# repro: ignore[rule-id] <reason>`` on the
   offending line, or in a comment line directly above it; a
   cross-module finding is additionally suppressible at *any hop* of
-  its evidence chain (callers own "I accept blocking here", helpers
-  own "this write is bookkeeping");
+  its evidence chain (callers own "I accept this write here",
+  helpers own "this write is bookkeeping");
 * the committed baseline file (see :mod:`repro.lint.baseline`) for
   grandfathered findings, matched by content fingerprint.
 

@@ -26,7 +26,7 @@ class ChainHop:
     site; each is a suppression point — an inline
     ``# repro: ignore[...]`` at any hop's line silences the finding, so
     a protocol exception can be documented at whichever end owns the
-    decision (the caller that accepts blocking, or the helper whose
+    decision (the caller that accepts the call, or the helper whose
     write is bookkeeping).
     """
 

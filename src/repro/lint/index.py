@@ -47,7 +47,7 @@ class ModuleSummary:
     """Symbol table + effect summaries of one module."""
 
     relpath: str
-    module: str                      # dotted name ("repro.serve.http")
+    module: str                      # dotted name ("repro.campaign.store")
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
@@ -79,7 +79,7 @@ class FilePayload:
 def module_name_for(relpath: str) -> str:
     """Dotted module name for a repo-relative path.
 
-    ``src/repro/serve/http.py`` → ``repro.serve.http``;
+    ``src/repro/campaign/store.py`` → ``repro.campaign.store``;
     ``repro/kernels/x.py`` (test fixtures) → ``repro.kernels.x``;
     ``__init__`` collapses onto the package.
     """

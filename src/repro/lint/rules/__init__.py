@@ -5,10 +5,9 @@ engine triggers the import lazily via
 :func:`repro.lint.registry.all_rules`.
 """
 
-from repro.lint.rules import (asyncio_hygiene, crash_safety, determinism,
-                              env_hygiene, footprints, locks,
-                              observer_transitive, static_footprints)
+from repro.lint.rules import (crash_safety, determinism, env_hygiene,
+                              footprints, locks, observer_transitive,
+                              static_footprints)
 
-__all__ = ["asyncio_hygiene", "crash_safety", "determinism",
-           "env_hygiene", "footprints", "locks", "observer_transitive",
-           "static_footprints"]
+__all__ = ["crash_safety", "determinism", "env_hygiene", "footprints",
+           "locks", "observer_transitive", "static_footprints"]

@@ -1,14 +1,13 @@
 """Crash-safety write protocol for durable roots (whole-program rule).
 
 Everything persisted under a store/registry/journal root follows one
-protocol, established by :func:`repro._util.atomic_write_text`,
-``graphstore.format.save_graph`` and the serve journal compactor:
-write a scratch file, ``flush()`` + ``os.fsync()`` it, then publish
-with ``os.replace``.  A bare ``open(path, "w")`` straight onto a
-durable path can be torn by a crash into a half-written object that
-every later read trusts; an unfenced tmp→replace can publish a file
-whose *data* never reached disk (the rename can be durable before the
-content is).
+protocol, established by :func:`repro._util.atomic_write_text` and
+``graphstore.format.save_graph``: write a scratch file, ``flush()`` +
+``os.fsync()`` it, then publish with ``os.replace``.  A bare
+``open(path, "w")`` straight onto a durable path can be torn by a crash
+into a half-written object that every later read trusts; an unfenced
+tmp→replace can publish a file whose *data* never reached disk (the
+rename can be durable before the content is).
 
 Two error rules over the effect summaries of durable-scope modules:
 
@@ -36,8 +35,7 @@ from repro.lint.registry import Project, declare_rule, index_rule
 __all__: list[str] = []
 
 #: Modules whose files live under durable on-disk roots.
-DURABLE_SCOPE = ("repro/graphstore/", "repro/campaign/", "repro/serve/",
-                 "repro/_util.py")
+DURABLE_SCOPE = ("repro/graphstore/", "repro/campaign/", "repro/_util.py")
 
 declare_rule("crash-bare-write", SEV_ERROR,
              "files under store/registry/journal roots must be "

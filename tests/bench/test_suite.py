@@ -28,11 +28,7 @@ def fake_entry(suite="campaign", median=1.0, stamp=0.0):
 
 class TestRegistry:
     def test_expected_suites(self):
-        assert suite_names() == ["campaign", "figs", "graphs", "kernels",
-                                 "serve"]
-
-    def test_serve_suite_covers_cold_and_warm_paths(self):
-        assert SUITES["serve"] == ["serve-submit", "serve-warm-hits"]
+        assert suite_names() == ["campaign", "figs", "graphs", "kernels"]
 
     def test_graphs_suite_covers_cold_and_warm_paths(self):
         assert SUITES["graphs"] == ["graphs-cold-build", "graphs-warm-load"]

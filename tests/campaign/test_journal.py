@@ -217,3 +217,46 @@ class TestRunIds:
         os.makedirs(journal_dir(root, "99999999-9"))  # dir, no journal
         os.makedirs(os.path.join(journal_dir(root), "not-a-run-id"))
         assert list_runs(root) == [run]
+
+
+class TestLegacyJobRecords:
+    """Stores written by the retired campaign service still hold
+    ``job``/``job-end`` records, in run journals and in their own
+    ``journals/serve/`` file; replay and run listing ignore them."""
+
+    @staticmethod
+    def _write(directory, with_jobs):
+        run_id = os.path.basename(directory)
+        with Journal.create(directory, run_id=run_id, campaign="j-test",
+                            spec=SPEC, fingerprint="f" * 16) as journal:
+            if with_jobs:
+                journal.append({"type": "job", "job": "cafe0123-1",
+                                "campaign": "j-test", "spec": SPEC,
+                                "client": "ci", "priority": 0})
+            journal.submitted("cell-a")
+            journal.submitted("cell-b")
+            journal.completed("cell-a", 12.5)
+            if with_jobs:
+                journal.append({"type": "job-end", "job": "cafe0123-1"})
+            journal.failed("cell-b", "RuntimeError: boom")
+        return Journal.open(directory).replay()
+
+    def test_job_records_do_not_change_replayed_state(self, tmp_path):
+        plain = self._write(tmp_path / "abcd1234-1", with_jobs=False)
+        mixed = self._write(tmp_path / "abcd1234-2", with_jobs=True)
+        assert mixed.completed == plain.completed == {"cell-a": 12.5}
+        assert mixed.failed == plain.failed == {
+            "cell-b": "RuntimeError: boom"}
+        assert mixed.submitted == plain.submitted == ["cell-a", "cell-b"]
+        assert not mixed.dropped_tail and mixed.corrupt_at is None
+
+    def test_list_runs_skips_legacy_service_journal(self, tmp_path):
+        root = str(tmp_path)
+        run = new_run_id(root, SPEC)
+        self._write(journal_dir(root, run), with_jobs=False)
+        legacy = journal_dir(root, "serve")
+        os.makedirs(legacy)
+        with open(os.path.join(legacy, JOURNAL_FILENAME), "w",
+                  encoding="utf-8") as fh:
+            fh.write('{"type": "job", "job": "cafe0123-1"}\n')
+        assert list_runs(root) == [run]
