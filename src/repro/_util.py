@@ -57,10 +57,10 @@ def sha256_hex(data: str | bytes) -> str:
 def content_checksum(obj: object) -> str:
     """Short (16-hex) SHA-256 over the canonical JSON of *obj*.
 
-    The shared integrity checksum for persisted records: store objects
-    and journal lines both embed ``content_checksum(<record without its
-    checksum field>)`` so a truncated or bit-flipped file is detected on
-    read instead of silently feeding bad data into a report.
+    The integrity checksum for persisted records: every store object
+    embeds ``content_checksum(<record without its checksum field>)`` so a
+    truncated or bit-flipped file is detected on read instead of
+    silently feeding bad data into a report.
     """
     return sha256_hex(canonical_json(obj))[:16]
 

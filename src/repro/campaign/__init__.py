@@ -10,17 +10,16 @@ The scheduler + cache layer over the experiment harness:
   heartbeat sweeps, ``REPRO_CELL_TIMEOUT`` deadlines, dead-worker
   replacement with deterministic requeue, seeded backoff and a
   per-runner-family circuit breaker;
-* :mod:`repro.campaign.journal` — append-only checksummed write-ahead
-  log enabling ``repro campaign resume`` with zero recomputation;
 * :mod:`repro.campaign.store` — a content-addressed result store keyed
   by canonical cell spec + code fingerprint, integrity-checksummed on
-  every read (corrupt objects are quarantined, not served);
+  every read (corrupt objects are quarantined, not served); re-running
+  a killed campaign over the same store recomputes no completed cell;
 * :mod:`repro.campaign.chaos` — fault-injection harness behind
   ``repro chaos`` (worker SIGKILL, hangs, exceptions, store
   corruption — report must stay byte-identical to a clean run);
 * :mod:`repro.campaign.runners` — the registry mapping experiment names
   to picklable cell adapters;
-* :mod:`repro.campaign.cli` — ``repro campaign run|resume|status|cache``.
+* :mod:`repro.campaign.cli` — ``repro campaign run|status|cache``.
 """
 
 from repro.campaign.spec import CampaignSpec, CellSpec
@@ -28,7 +27,6 @@ from repro.campaign.store import (ResultStore, StoreStats, VerifyReport,
                                   code_fingerprint)
 from repro.campaign.executor import ExecutionReport, execute, default_jobs
 from repro.campaign.supervise import Supervisor, SupervisorStats
-from repro.campaign.journal import Journal, JournalState, journal_dir
 from repro.campaign.runners import run_cell, runner_names, known_variants
 from repro.campaign.cli import run_campaign, campaign_results_dict
 
@@ -37,7 +35,6 @@ __all__ = [
     "ResultStore", "StoreStats", "VerifyReport", "code_fingerprint",
     "ExecutionReport", "execute", "default_jobs",
     "Supervisor", "SupervisorStats",
-    "Journal", "JournalState", "journal_dir",
     "run_cell", "runner_names", "known_variants",
     "run_campaign", "campaign_results_dict",
 ]

@@ -191,7 +191,7 @@ def run_chaos(spec, *, jobs: int = 2, kills: int = 1, hangs: int = 1,
               progress: bool = False) -> ChaosReport:
     """Execute the three-phase chaos protocol for *spec*.
 
-    Stores, journals and fault markers live under *workdir* (a temp
+    Stores and fault markers live under *workdir* (a temp
     directory by default).  *retries* is forced to at least 1 — hang
     and exception injections consume one attempt by design.  Returns a
     :class:`ChaosReport`; ``report.ok`` is the pass/fail verdict.

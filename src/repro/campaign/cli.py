@@ -4,8 +4,6 @@ Subcommands (reached through the main ``repro`` entry point)::
 
     repro campaign run SPEC.json [--jobs N] [--store DIR] [--retries R]
                                  [--output results.json] [--summary s.json]
-    repro campaign resume RUN-ID [--jobs N] [--store DIR] [--retries R]
-                                 [--output results.json] [--summary s.json]
     repro campaign status SPEC.json [--store DIR]
     repro campaign cache {stats|ls|gc|clear|verify} [--store DIR]
                                  [--max-age DAYS] [--stale-only] [--repair]
@@ -15,10 +13,10 @@ parallel executor with the content-addressed store enabled, prints a
 summary and optionally writes the per-cell results (sorted keys, no
 timestamps — a repeated run over a warm store is byte-identical) and a
 machine-readable summary with the store's hit/miss statistics (what CI
-asserts on).  Every run also appends a checksummed write-ahead journal
-under ``<store>/journals/<run-id>/`` — after a crash (``kill -9``,
-power loss), ``resume RUN-ID`` replays it and continues the campaign
-with zero recomputation of completed cells.  ``cache verify`` audits
+asserts on).  Every computed cell is in the store before the next one
+is reported, so after a crash (``kill -9``, power loss) running the
+same ``run`` again over the same store serves every completed cell as
+a hit and recomputes only the rest.  ``cache verify`` audits
 every store object's integrity checksum; ``--repair`` quarantines the
 corrupt ones.
 """
@@ -31,21 +29,18 @@ import math
 import os
 import sys
 
-from repro._util import atomic_write_text, env_int
+from repro._util import atomic_write_text, env_int, sha256_hex
 
 __all__ = ["main", "run_campaign", "campaign_results_dict"]
 
 
 def run_campaign(spec, *, jobs=None, retries=None, store=None,
-                 progress=False, journal=None, resume=None):
+                 progress=False):
     """Execute every cell of *spec*; returns ``(cells, report)``.
 
     *store* may be a :class:`~repro.campaign.store.ResultStore`, a root
     path, or None for the default store; *retries* defaults to
-    ``REPRO_RETRIES`` (1), matching ``run_panel``.  *journal* (a
-    :class:`~repro.campaign.journal.Journal`) write-ahead-logs the run;
-    *resume* (``cell-id -> value``) serves a previous run's completed
-    cells without recomputation.
+    ``REPRO_RETRIES`` (1), matching ``run_panel``.
     """
     from repro.campaign.executor import execute
     from repro.campaign.runners import run_cell
@@ -62,7 +57,6 @@ def run_campaign(spec, *, jobs=None, retries=None, store=None,
         labels_for=lambda c: {"graph": c.graph, "variant": c.variant,
                               "threads": c.threads},
         progress=progress, desc=f"cells ({spec.name})",
-        journal=journal, resume=resume,
         key_id=lambda c: c.cell_id,
         family_for=lambda c: c.experiment)
     return cells, report
@@ -84,13 +78,11 @@ def campaign_results_dict(spec, cells, report) -> dict:
             "results": results}
 
 
-def _summary_dict(spec, report, store, run_id=None) -> dict:
+def _summary_dict(spec, report, store) -> dict:
     return {
         "campaign": spec.name,
-        "run_id": run_id,
         "cells_total": report.total,
         "hits": report.hits,
-        "resumed": report.resumed,
         "computed": report.computed,
         "failed": report.failed,
         "hit_rate": report.hit_rate,
@@ -114,38 +106,44 @@ def _format_wall(wall: dict) -> str:
     return line
 
 
-def _write_wall(spec, report, store, run_id) -> None:
-    """Persist the run's wall counters next to its journal.
+def _wall_path(root, campaign: str) -> str:
+    """The one last-run wall file of *campaign* under store *root*."""
+    return os.path.join(root, "last-run",
+                        f"{sha256_hex(campaign)[:16]}.json")
 
-    ``repro campaign status`` reads the newest of these back, so the
-    throughput of the last run is inspectable without re-running.
+
+def _write_wall(spec, report, store) -> None:
+    """Persist the run's wall counters, one file per campaign name.
+
+    ``repro campaign status`` reads it back, so the throughput of the
+    last run is inspectable without re-running.
     """
-    from repro.campaign.journal import journal_dir
-    if run_id is None:
-        return
-    path = os.path.join(journal_dir(store.root, run_id), "wall.json")
+    path = _wall_path(store.root, spec.name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     atomic_write_text(path, json.dumps(
-        {"campaign": spec.name, "run_id": run_id, "wall": report.wall()},
+        {"campaign": spec.name, "wall": report.wall()},
         sort_keys=True, indent=1) + "\n")
 
 
-def _print_summary(spec, report, store, run_id=None) -> None:
+def _print_summary(spec, report, store) -> None:
     status = "interrupted" if report.interrupted else "complete"
     print(f"campaign {spec.name}: {status} — "
           f"{report.total} cell(s) in {report.elapsed:.1f}s")
-    resumed = f", resumed {report.resumed}" if report.resumed else ""
-    print(f"  store hits {report.hits}{resumed}, "
+    print(f"  store hits {report.hits}, "
           f"computed {report.computed}, failed {report.failed} "
           f"(hit-rate {report.hit_rate:.0%})")
     print("  " + _format_wall(report.wall()))
     print(f"  store {store.root} (code fingerprint {store.fingerprint})")
-    if run_id is not None:
-        print(f"  journal {run_id} (resume with: repro campaign resume "
-              f"{run_id})")
 
 
-def _finish_run(args, spec, cells, report, store, run_id) -> int:
-    """Shared tail of ``run``/``resume``: artifacts, summary, exit code."""
+def _cmd_run(args) -> int:
+    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.store import ResultStore
+
+    spec = CampaignSpec.from_file(args.spec)
+    store = ResultStore(args.store)
+    cells, report = run_campaign(spec, jobs=args.jobs, retries=args.retries,
+                                 store=store, progress=not args.quiet)
     if args.output:
         payload = campaign_results_dict(spec, cells, report)
         atomic_write_text(args.output, json.dumps(payload, sort_keys=True,
@@ -153,65 +151,13 @@ def _finish_run(args, spec, cells, report, store, run_id) -> int:
         print(f"[results written to {args.output}]", file=sys.stderr)
     if args.summary:
         atomic_write_text(args.summary, json.dumps(
-            _summary_dict(spec, report, store, run_id), sort_keys=True,
+            _summary_dict(spec, report, store), sort_keys=True,
             indent=1) + "\n")
-    _write_wall(spec, report, store, run_id)
-    _print_summary(spec, report, store, run_id)
+    _write_wall(spec, report, store)
+    _print_summary(spec, report, store)
     if report.interrupted:
         return 130
     return 1 if report.failed else 0
-
-
-def _cmd_run(args) -> int:
-    from repro.campaign.journal import Journal, journal_dir, new_run_id
-    from repro.campaign.spec import CampaignSpec
-    from repro.campaign.store import ResultStore
-
-    spec = CampaignSpec.from_file(args.spec)
-    store = ResultStore(args.store)
-    run_id = new_run_id(store.root, spec.to_dict())
-    with Journal.create(journal_dir(store.root, run_id), run_id=run_id,
-                        campaign=spec.name, spec=spec.to_dict(),
-                        fingerprint=store.fingerprint) as journal:
-        cells, report = run_campaign(
-            spec, jobs=args.jobs, retries=args.retries, store=store,
-            progress=not args.quiet, journal=journal)
-    return _finish_run(args, spec, cells, report, store, run_id)
-
-
-def _cmd_resume(args) -> int:
-    from repro.campaign.journal import Journal, journal_dir, list_runs
-    from repro.campaign.spec import CampaignSpec
-    from repro.campaign.store import ResultStore
-
-    store = ResultStore(args.store)
-    runs = list_runs(store.root)
-    if args.run_id not in runs:
-        known = ", ".join(runs) if runs else "none"
-        raise ValueError(f"no journal for run {args.run_id!r} under "
-                         f"{store.root} (known runs: {known})")
-    journal = Journal.open(journal_dir(store.root, args.run_id))
-    state = journal.replay()
-    if state.fingerprint != store.fingerprint:
-        raise ValueError(
-            f"run {args.run_id} was journaled under code fingerprint "
-            f"{state.fingerprint}, but the tree is now "
-            f"{store.fingerprint} — its results are stale; re-run the "
-            f"campaign instead of resuming")
-    if state.corrupt_at is not None:
-        print(f"[journal corrupt at line {state.corrupt_at}; resuming "
-              f"from the {len(state.completed)} cell(s) before it]",
-              file=sys.stderr)
-    if journal.repair(state):
-        print("[journal tail repaired: dropped partial bytes from an "
-              "interrupted append]", file=sys.stderr)
-    spec = CampaignSpec.from_dict(state.spec)
-    with journal:
-        cells, report = run_campaign(
-            spec, jobs=args.jobs, retries=args.retries, store=store,
-            progress=not args.quiet, journal=journal,
-            resume=state.completed)
-    return _finish_run(args, spec, cells, report, store, args.run_id)
 
 
 def _cmd_status(args) -> int:
@@ -227,27 +173,20 @@ def _cmd_status(args) -> int:
     print(f"  store {store.root} (code fingerprint {store.fingerprint})")
     last = _last_wall(store.root, spec.name)
     if last is not None:
-        print(f"  last run {last['run_id']}: " + _format_wall(last["wall"]))
+        print("  last run: " + _format_wall(last["wall"]))
     return 0
 
 
 def _last_wall(root, campaign: str) -> dict | None:
-    """The newest persisted wall-counter block for *campaign*, if any."""
-    from repro.campaign.journal import journal_dir, list_runs
-    newest, newest_mtime = None, -1.0
-    for run_id in list_runs(root):
-        path = os.path.join(journal_dir(root, run_id), "wall.json")
-        try:
-            mtime = os.path.getmtime(path)
-            if mtime <= newest_mtime:
-                continue
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if data.get("campaign") == campaign and "wall" in data:
-            newest, newest_mtime = data, mtime
-    return newest
+    """The persisted wall-counter block of *campaign*'s last run, if any."""
+    try:
+        with open(_wall_path(root, campaign), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if data.get("campaign") == campaign and "wall" in data:
+        return data
+    return None
 
 
 def _format_age(seconds: float) -> str:
@@ -314,25 +253,17 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="execute a campaign spec")
     run_p.add_argument("spec", help="campaign spec JSON file")
-
-    resume_p = sub.add_parser(
-        "resume", help="continue a crashed/killed run from its journal")
-    resume_p.add_argument("run_id", metavar="RUN-ID",
-                          help="journal run id (printed by `run`; listed "
-                               "under <store>/journals/)")
-
-    for p in (run_p, resume_p):
-        p.add_argument("--jobs", type=int, default=None,
+    run_p.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default REPRO_JOBS or 1; "
                             "0 = one per CPU)")
-        p.add_argument("--retries", type=int, default=None,
+    run_p.add_argument("--retries", type=int, default=None,
                        help="per-cell retry budget (default REPRO_RETRIES)")
-        p.add_argument("--output", default=None, metavar="PATH",
+    run_p.add_argument("--output", default=None, metavar="PATH",
                        help="write per-cell results JSON (deterministic "
                             "bytes for identical specs + code)")
-        p.add_argument("--summary", default=None, metavar="PATH",
+    run_p.add_argument("--summary", default=None, metavar="PATH",
                        help="write run summary JSON incl. store hit stats")
-        p.add_argument("--quiet", action="store_true",
+    run_p.add_argument("--quiet", action="store_true",
                        help="suppress the progress/ETA line")
 
     status_p = sub.add_parser("status",
@@ -350,7 +281,7 @@ def main(argv=None) -> int:
     cache_p.add_argument("--repair", action="store_true",
                          help="verify: quarantine corrupt objects")
 
-    for p in (run_p, resume_p, status_p, cache_p):
+    for p in (run_p, status_p, cache_p):
         p.add_argument("--store", default=None, metavar="DIR",
                        help="store root (default $REPRO_STORE or "
                             "~/.cache/repro)")
@@ -359,8 +290,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "resume":
-            return _cmd_resume(args)
         if args.command == "status":
             return _cmd_status(args)
         return _cmd_cache(args)

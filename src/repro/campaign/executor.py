@@ -8,11 +8,9 @@ The executor owns everything around the runner calls:
 
 * **store short-circuit** — keys whose canonical spec is already in the
   content-addressed :class:`~repro.campaign.store.ResultStore` are
-  served as hits without touching the workers;
-* **journal replay** — with a :class:`~repro.campaign.journal.Journal`
-  attached, cells completed by an earlier (possibly SIGKILLed) run are
-  served from its write-ahead log with zero recomputation, and every
-  submission/completion/failure is journaled for the next resume;
+  served as hits without touching the workers, which is also how a
+  killed run resumes: re-running it over the same store recomputes no
+  completed cell;
 * **worker supervision** — parallel execution runs on
   :class:`~repro.campaign.supervise.Supervisor`: per-worker children
   tracked by pid + heartbeat sweep, ``REPRO_CELL_TIMEOUT`` deadlines,
@@ -29,8 +27,8 @@ The executor owns everything around the runner calls:
 * **progress/ETA** — per-cell completion reporting on stderr (live
   ``\\r`` line on a TTY, every ~10% otherwise);
 * **telemetry** — when a :mod:`repro.obs.metrics` registry is active,
-  ``campaign.cells{status=...}`` counters count hits, resumed, computed
-  and failed cells (the supervisor adds retry/requeue/timeout/breaker
+  ``campaign.cells{status=...}`` counters count hit, computed and
+  failed cells (the supervisor adds retry/requeue/timeout/breaker
   counters), and serial cells run inside ``registry.cell(...)`` scopes
   so frames keep their sweep labels.
 
@@ -68,7 +66,6 @@ class ExecutionReport:
     values: dict = field(default_factory=dict)   # key -> cycles (NaN = failed)
     errors: dict = field(default_factory=dict)   # key -> error string
     hits: int = 0
-    resumed: int = 0          # served from a journal replay, not recomputed
     computed: int = 0
     failed: int = 0
     elapsed: float = 0.0
@@ -81,7 +78,7 @@ class ExecutionReport:
 
     @property
     def total(self) -> int:
-        return self.hits + self.resumed + self.computed + self.failed
+        return self.hits + self.computed + self.failed
 
     @property
     def hit_rate(self) -> float:
@@ -91,7 +88,7 @@ class ExecutionReport:
     @property
     def cells_per_second(self) -> float:
         """Computed+failed cells per wall-clock second of the compute
-        phase (hits/resumes are excluded — they never touch a worker)."""
+        phase (hits are excluded — they never touch a worker)."""
         worked = self.computed + self.failed
         return worked / self.elapsed if self.elapsed > 0 else 0.0
 
@@ -154,8 +151,8 @@ class _Progress:
         elif rate > 0:
             eta = f"{remaining / rate:.0f}s"
         elif done > 0:
-            # Every cell so far was a hit/resume — the remainder is
-            # served at store speed, not compute speed.
+            # Every cell so far was a hit — the remainder is served at
+            # store speed, not compute speed.
             eta = "0s"
         else:
             eta = "-"
@@ -180,8 +177,8 @@ def _fork_context():
 def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
             on_error: str = "nan", store=None, spec_for=None,
             labels_for=None, progress: bool = False, on_cell=None,
-            desc: str = "cells", journal=None, resume=None, key_id=None,
-            family_for=None, timeout=None) -> ExecutionReport:
+            desc: str = "cells", key_id=None, family_for=None,
+            timeout=None) -> ExecutionReport:
     """Run ``runner(key) -> cycles`` over *keys*, optionally in parallel.
 
     Parameters mirror the harness' resilience contract: *retries* is the
@@ -194,17 +191,14 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
     here);
     *labels_for* (``key -> dict``) labels serial cells' telemetry frames.
 
-    Crash safety: *journal* (a :class:`~repro.campaign.journal.Journal`)
-    records every submitted/completed/failed cell as a checksummed WAL
-    line; *resume* (``cell-id -> value`` from a replay) serves
-    already-completed cells without recomputation; *key_id*
-    (``key -> str``, default ``str``) names cells in the journal and
-    seeds retry backoff; *family_for* (``key -> str``) groups cells for
-    the circuit breaker; *timeout* overrides ``REPRO_CELL_TIMEOUT``.
+    *key_id* (``key -> str``, default ``str``) names cells for the
+    supervisor and seeds retry backoff; *family_for* (``key -> str``)
+    groups cells for the circuit breaker; *timeout* overrides
+    ``REPRO_CELL_TIMEOUT``.
 
     On Ctrl-C the report comes back partial with ``interrupted=True``
-    (completed cells are already persisted through
-    *store*/*journal*/*on_cell*); callers decide whether to re-raise.
+    (completed cells are already persisted through *store*/*on_cell*);
+    callers decide whether to re-raise.
     """
     from repro.obs import metrics as _obs_metrics
 
@@ -235,13 +229,9 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
             report.errors[key] = error
             report.failed += 1
             count("failed")
-            if journal is not None:
-                journal.failed(key_id(key), error)
         else:
             report.computed += 1
             count("computed")
-            if journal is not None:
-                journal.completed(key_id(key), value)
             if store is not None and spec_for is not None \
                     and math.isfinite(value):
                 store.put(spec_for(key), value)
@@ -249,19 +239,9 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
             on_cell(key, value)
         meter.update(report)
 
-    # Replay/store short-circuit: serve journaled completions from the
-    # previous (crashed) run first, then warm store entries — neither
-    # touches a worker.
+    # Store short-circuit: warm entries never touch a worker.
     work = []
     for key in keys:
-        if resume is not None and key_id(key) in resume:
-            report.values[key] = resume[key_id(key)]
-            report.resumed += 1
-            count("resumed")
-            if on_cell is not None:
-                on_cell(key, report.values[key])
-            meter.update(report)
-            continue
         if store is not None and spec_for is not None:
             t_get = time.time()
             cached = store.get(spec_for(key))
@@ -278,10 +258,6 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
             meter.update(report)
         else:
             work.append(key)
-
-    if journal is not None:
-        for key in work:
-            journal.submitted(key_id(key))
 
     t0 = time.time()
     ctx = _fork_context() if jobs > 1 else None
@@ -304,8 +280,6 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
     finally:
         report.elapsed = time.time() - t0
         meter.update(report, final=True)
-        if journal is not None:
-            journal.end(interrupted=report.interrupted)
 
     if report.errors and on_error == "raise":
         key, error = next(iter(report.errors.items()))

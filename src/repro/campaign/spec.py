@@ -209,8 +209,8 @@ class CampaignSpec:
         """The grid's cells, in deterministic spec order.
 
         Order is graphs (outer) × variants × axis values × seeds (inner)
-        — stable for a given spec, so resumable executions and progress
-        counts line up across runs.
+        — stable for a given spec, so progress counts and ``--jobs N``
+        submission order line up across runs.
         """
         params = tuple(sorted(self.params.items()))
         return [CellSpec(experiment=self.experiment, graph=g, variant=v,

@@ -305,19 +305,18 @@ class ResultStore:
         ``gc``/``clear`` are the only deletion paths in the store, and
         they must never reach outside ``<root>/objects/``: quarantined
         files are evidence (``verify --repair`` put them aside precisely
-        so a human can look), and ``<root>/journals/`` holds the
-        crash-recovery WALs of live campaign runs — deleting one
-        silently turns "zero recomputation on resume" into recomputed
-        cells.  The walk in :meth:`entries` only visits ``objects/``, but
-        that is an implementation detail; this guard makes the guarantee
-        structural.
+        so a human can look), and stores written by older versions still
+        hold a ``<root>/journals/`` tree that is not the store's to
+        delete.  The walk in :meth:`entries` only visits ``objects/``,
+        but that is an implementation detail; this guard makes the
+        guarantee structural.
         """
         objects = os.path.realpath(os.path.join(self.root, "objects"))
         if os.path.commonpath([objects,
                                os.path.realpath(path)]) != objects:
             raise ValueError(
                 f"refusing to delete {path!r}: outside the store's "
-                f"objects/ tree (quarantine/ and journals/ are "
+                f"objects/ tree (quarantine/ and other trees are "
                 f"never garbage-collected)")
         os.remove(path)
 
@@ -332,8 +331,9 @@ class ResultStore:
         limit is given.
 
         Only files under ``<root>/objects/`` are ever deleted:
-        ``<root>/quarantine/`` and ``<root>/journals/`` (run WALs) are
-        never visited or touched.
+        ``<root>/quarantine/`` and any other tree under the root (such
+        as an older version's ``journals/``) are never visited or
+        touched.
         """
         removed = kept = 0
         for entry in self.entries():
@@ -351,7 +351,8 @@ class ResultStore:
         """Remove every object (the root directory itself is kept).
 
         Like :meth:`gc`, this only deletes under ``<root>/objects/`` —
-        quarantined files and journals survive a ``cache clear``.
+        quarantined files and anything outside ``objects/`` survive a
+        ``cache clear``.
         """
         removed = 0
         for entry in self.entries():

@@ -11,7 +11,7 @@ rather than guess (DESIGN.md documents the imprecision budget):
    small depth);
 3. **qualified calls** — ``alias.fn(...)`` where ``alias`` imports a
    ``repro.*`` module, and ``Cls.meth(...)`` where ``Cls`` imports a
-   known class (``Journal.open``);
+   known class (``CampaignSpec.from_file``);
 4. **unique-name fallback** — ``obj.meth(...)`` on an unknown receiver
    links to project methods named ``meth`` only when at most
    :data:`MAX_FALLBACK_CANDIDATES` exist and the name is not in the

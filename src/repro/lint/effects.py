@@ -53,7 +53,7 @@ class CallSite:
 
     ``base`` is ``""`` for bare calls (``foo(...)``), ``"self"`` /
     ``"cls"`` for method self-calls, and otherwise the unparsed text of
-    the attribute base (``"os"``, ``"Journal"``, ``"self._journal"``).
+    the attribute base (``"os"``, ``"CampaignSpec"``, ``"self.stats"``).
     """
 
     name: str

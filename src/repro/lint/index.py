@@ -97,8 +97,8 @@ def module_name_for(relpath: str) -> str:
 def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
     """Local alias → fully dotted target for module-level imports.
 
-    ``import os`` → ``{"os": "os"}``; ``from repro.campaign.journal
-    import Journal`` → ``{"Journal": "repro.campaign.journal.Journal"}``;
+    ``import os`` → ``{"os": "os"}``; ``from repro.campaign.spec import
+    CampaignSpec`` → ``{"CampaignSpec": "repro.campaign.spec.CampaignSpec"}``;
     relative imports resolve against *module*'s package.
     """
     out: dict[str, str] = {}

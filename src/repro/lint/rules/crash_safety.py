@@ -1,6 +1,6 @@
 """Crash-safety write protocol for durable roots (whole-program rule).
 
-Everything persisted under a store/registry/journal root follows one
+Everything persisted under a store or registry root follows one
 protocol, established by :func:`repro._util.atomic_write_text` and
 ``graphstore.format.save_graph``: write a scratch file, ``flush()`` +
 ``os.fsync()`` it, then publish with ``os.replace``.  A bare
@@ -11,16 +11,14 @@ rename can be durable before the content is).
 
 Two error rules over the effect summaries of durable-scope modules:
 
-* ``crash-bare-write`` — a write-capable ``open`` (``w``/``x``/``+``
-  modes) whose target is not a recognizable scratch file;
+* ``crash-bare-write`` — a write-capable ``open`` (``w``/``x``/``a``/
+  ``+`` modes) whose target is not a recognizable scratch file;
 * ``crash-unfenced-replace`` — a scratch-file write in a function that
   publishes via ``os.replace`` without an ``os.fsync`` in between.
 
-Append-mode opens are exempt: the journal's append-only WAL fsyncs per
-record and its open/append/fsync sites span methods, which a
-per-function sequence check cannot follow (documented imprecision —
-the journal's own tests own that protocol).  Deliberate protocol
-breaks (fault injection tearing files on purpose, user-chosen CLI
+Append mode is write-capable too: an append can be torn mid-record just
+like an overwrite, so nothing durable is appended in place.  Deliberate
+protocol breaks (fault injection tearing files on purpose, user-chosen CLI
 output paths) carry inline suppressions at the open site.
 """
 
@@ -38,7 +36,7 @@ __all__: list[str] = []
 DURABLE_SCOPE = ("repro/graphstore/", "repro/campaign/", "repro/_util.py")
 
 declare_rule("crash-bare-write", SEV_ERROR,
-             "files under store/registry/journal roots must be "
+             "files under store/registry roots must be "
              "published via tmp-file + flush/fsync + os.replace; a "
              "bare write-mode open can be torn by a crash into a "
              "half-written object later reads will trust")
@@ -49,10 +47,8 @@ declare_rule("crash-unfenced-replace", SEV_ERROR,
 
 
 def _write_capable(mode: str) -> bool:
-    """True for modes the protocol governs (append is exempt)."""
-    if mode.startswith("a"):
-        return False
-    return any(ch in mode for ch in ("w", "x", "+"))
+    """True for modes the protocol governs (everything but read)."""
+    return any(ch in mode for ch in ("w", "x", "a", "+"))
 
 
 @index_rule

@@ -1,9 +1,16 @@
 """``repro campaign`` CLI: run/status/cache, warm-store determinism."""
 
+import glob
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.campaign.cli import main
 
 
@@ -104,48 +111,48 @@ class TestWallCounters:
 
 
 class TestResume:
-    def test_run_then_resume_recomputes_nothing(self, tmp_path, spec_file,
-                                                capsys):
+    def test_rerun_after_kill_recomputes_no_stored_cell(self, tmp_path,
+                                                         spec_file):
+        """SIGKILL a run, re-run it over the same store: every object
+        stored before the kill is a hit and the output is byte-identical
+        to an uninterrupted run, wherever the kill landed."""
+        ref = tmp_path / "ref.json"
+        assert main(["run", str(spec_file), "--store",
+                     str(tmp_path / "ref-store"), "--quiet",
+                     "--output", str(ref)]) == 0
+
         store = str(tmp_path / "store")
-        sum1, sum2 = tmp_path / "s1.json", tmp_path / "s2.json"
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        objects = os.path.join(store, "objects", "*", "*.json")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", "campaign", "run",
+             str(spec_file), "--store", store, "--quiet"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.time() + 120
+            while not glob.glob(objects) and proc.poll() is None \
+                    and time.time() < deadline:
+                time.sleep(0.02)
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        before = len(glob.glob(objects))
+        assert before >= 1
+
+        out, summary = tmp_path / "out.json", tmp_path / "s.json"
         assert main(["run", str(spec_file), "--store", store, "--quiet",
-                     "--summary", str(sum1), "--output", str(out1)]) == 0
-        run_id = json.loads(sum1.read_text())["run_id"]
-        assert "resume with: repro campaign resume" in \
-            capsys.readouterr().out
-
-        assert main(["resume", run_id, "--store", store, "--quiet",
-                     "--summary", str(sum2), "--output", str(out2)]) == 0
-        s2 = json.loads(sum2.read_text())
-        assert s2["resumed"] == 2
-        assert s2["computed"] == 0 and s2["hits"] == 0
-        assert s2["run_id"] == run_id
-        # The resumed run regenerates the exact same results artifact.
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_unknown_run_id_exits_2(self, tmp_path, capsys):
-        assert main(["resume", "deadbeef-1", "--store",
-                     str(tmp_path / "store")]) == 2
-        assert "no journal for run" in capsys.readouterr().err
-
-    def test_stale_fingerprint_refused(self, tmp_path, spec_file, capsys):
-        from repro.campaign.journal import Journal, journal_dir
-        from repro.campaign.spec import CampaignSpec
-
-        store = str(tmp_path / "store")
-        spec = CampaignSpec.from_file(str(spec_file))
-        run_id = "12345678-1"
-        Journal.create(journal_dir(store, run_id), run_id=run_id,
-                       campaign=spec.name, spec=spec.to_dict(),
-                       fingerprint="0" * 16).close()
-        assert main(["resume", run_id, "--store", store]) == 2
-        assert "stale" in capsys.readouterr().err
+                     "--output", str(out), "--summary", str(summary)]) == 0
+        s = json.loads(summary.read_text())
+        assert s["failed"] == 0 and not s["interrupted"]
+        assert s["hits"] == before
+        assert s["computed"] == s["cells_total"] - s["hits"]
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestCacheVerify:
     def corrupt_one(self, store_dir):
-        import os
         objects = os.path.join(store_dir, "objects")
         prefix = sorted(os.listdir(objects))[0]
         subdir = os.path.join(objects, prefix)

@@ -204,10 +204,6 @@ class TestReportShape:
         assert r.total == 10
         assert r.hit_rate == pytest.approx(0.3)
 
-    def test_resumed_counts_toward_total(self):
-        r = ExecutionReport(hits=1, resumed=2, computed=3)
-        assert r.total == 6
-
 
 class TestWallCounters:
     def test_derived_properties(self):
@@ -306,63 +302,6 @@ class TestInterrupt:
 
         with pytest.raises(KeyboardInterrupt):
             execute(slow, KEYS, jobs=2, on_cell=on_cell)
-
-
-class TestResume:
-    def test_resumed_cells_skip_the_runner(self):
-        calls = []
-
-        def spy(key):
-            calls.append(key)
-            return runner(key)
-
-        resume = {str(k): runner(k) for k in KEYS[:4]}
-        report = execute(spy, KEYS, jobs=1, resume=resume)
-        assert calls == KEYS[4:]
-        assert report.resumed == 4 and report.computed == 2
-        assert report.values == {k: runner(k) for k in KEYS}
-
-    def test_resume_takes_priority_over_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec_for = lambda k: {"cell": k}  # noqa: E731
-        execute(runner, KEYS, jobs=1, store=store, spec_for=spec_for)
-        resume = {str(KEYS[0]): -1.0}  # journal says something else
-        report = execute(runner, KEYS, jobs=1, store=store,
-                         spec_for=spec_for, resume=resume)
-        assert report.values[KEYS[0]] == -1.0
-        assert report.resumed == 1 and report.hits == len(KEYS) - 1
-
-
-class TestJournalIntegration:
-    def test_journal_records_then_resume_recomputes_nothing(self, tmp_path):
-        from repro.campaign.journal import Journal
-
-        journal = Journal.create(tmp_path / "run", run_id="aaaaaaaa-1",
-                                 campaign="t", spec={"s": 1},
-                                 fingerprint="f")
-        with journal:
-            def flaky(key):
-                if key == 2:
-                    raise RuntimeError("boom")
-                return runner(key)
-
-            execute(flaky, KEYS, jobs=1, journal=journal)
-        state = Journal.open(tmp_path / "run").replay()
-        assert state.ended and not state.dropped_tail
-        assert set(state.submitted) == {str(k) for k in KEYS}
-        assert state.completed == {str(k): runner(k)
-                                   for k in KEYS if k != 2}
-        assert "boom" in state.failed["2"]
-
-        calls = []
-
-        def spy(key):
-            calls.append(key)
-            return runner(key)
-
-        second = execute(spy, KEYS, jobs=1, resume=state.completed)
-        assert calls == [2]  # only the journaled failure is recomputed
-        assert second.resumed == len(KEYS) - 1
 
 
 class TestProgressEta:

@@ -127,7 +127,8 @@ class TestMaintenance:
 
     @staticmethod
     def _populate_side_trees(root):
-        """Drop files into quarantine/ and journals/ like real runs do."""
+        """Drop files into quarantine/ and into the journals/ tree that
+        stores written by older versions still hold."""
         quarantine = os.path.join(root, "quarantine")
         journals = os.path.join(root, "journals", "serve")
         os.makedirs(quarantine, exist_ok=True)
@@ -142,8 +143,8 @@ class TestMaintenance:
 
     def test_gc_never_touches_quarantine_or_journals(self, tmp_path):
         # Regression guard: gc must only ever delete under objects/ —
-        # quarantined evidence and crash-recovery journals survive even
-        # the most aggressive gc settings.
+        # quarantined evidence and an older version's journals survive
+        # even the most aggressive gc settings.
         old = ResultStore(tmp_path, fingerprint="aaaa")
         old.put(SPEC, 1.0)
         store = ResultStore(tmp_path, fingerprint="bbbb")
@@ -248,6 +249,80 @@ class TestIntegrity:
         assert report.quarantined == [path]
         assert not os.path.exists(path)
         assert store.verify().clean
+
+
+class _CrashAfterWrite:
+    """File wrapper whose ``write`` lands its bytes, then crashes."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text)
+        raise OSError("injected crash after the tmp write")
+
+
+class TestCrashPoints:
+    """``put`` crashes at each step of ``atomic_write_text``: a fresh
+    store on the same root sees the old object or a miss, never a torn
+    one, and the leftover ``.tmp`` file is invisible."""
+
+    OTHER = {**SPEC, "threads": 31}
+
+    @staticmethod
+    def inject(monkeypatch, step):
+        from repro import _util
+
+        def boom(*args, **kwargs):
+            raise OSError(f"injected crash at {step}")
+
+        if step == "tmp-write":
+            real_open = open
+            monkeypatch.setattr(
+                _util, "open", lambda *a, **k: _CrashAfterWrite(
+                    real_open(*a, **k)), raising=False)
+        else:
+            monkeypatch.setattr(_util.os, step, boom)
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new-key", "existing-key"])
+    @pytest.mark.parametrize("step", ["tmp-write", "fsync", "replace"])
+    def test_crash_leaves_old_value_or_miss(self, tmp_path, monkeypatch,
+                                            step, existing):
+        store = ResultStore(tmp_path)
+        store.put(self.OTHER, 7.0)
+        if existing:
+            key = store.put(SPEC, 1.0)
+        else:
+            key = store.key(SPEC)
+        path = os.path.join(store.root, "objects", key[:2],
+                            f"{key[2:]}.json")
+        before = len(store)
+
+        with monkeypatch.context() as m:
+            self.inject(m, step)
+            with pytest.raises(OSError, match="injected crash"):
+                store.put(SPEC, 2.0)
+        assert os.path.exists(path + ".tmp")
+
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(SPEC) == (1.0 if existing else None)
+        assert fresh.get(self.OTHER) == 7.0
+        assert fresh.stats.corrupt == 0
+        report = fresh.verify()
+        assert report.clean and report.checked == before
+        assert len(fresh) == before
+
+        fresh.put(SPEC, 3.0)
+        assert ResultStore(tmp_path).get(SPEC) == 3.0
+        assert not os.path.exists(path + ".tmp")
+        assert fresh.verify().clean
 
 
 class TestFingerprintBytes:

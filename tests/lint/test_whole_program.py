@@ -201,7 +201,7 @@ def test_unfenced_replace_carries_open_and_replace_hops(run_lint):
     assert [h.note for h in hits[0].chain][-1] == "os.replace"
 
 
-def test_fsync_fence_and_append_mode_pass(run_lint):
+def test_fsync_fence_passes(run_lint):
     result = run_lint({"repro/graphstore/saver.py": """\
         import os
 
@@ -213,13 +213,18 @@ def test_fsync_fence_and_append_mode_pass(run_lint):
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+        """})
+    assert not result.findings
 
 
+def test_append_mode_is_a_bare_write(run_lint):
+    result = run_lint({"repro/graphstore/saver.py": """\
         def journal_append(path, line):
             with open(path, "a") as fh:
                 fh.write(line)
         """})
-    assert not result.findings
+    hits = [f for f in result.findings if f.rule == "crash-bare-write"]
+    assert len(hits) == 1 and "journal_append" in hits[0].message
 
 
 def test_crash_rule_suppressed_with_reason(run_lint):
