@@ -30,12 +30,11 @@ __all__ = ["Core", "Chip"]
 class Core:
     """One physical core: tracks how many SMT contexts are busy."""
 
-    __slots__ = ("index", "busy", "issued_cycles")
+    __slots__ = ("index", "busy")
 
     def __init__(self, index: int):
         self.index = index
         self.busy = 0
-        self.issued_cycles = 0.0
 
     def begin(self) -> None:
         """Mark one SMT context busy (call before executing a chunk)."""
@@ -67,6 +66,9 @@ class Chip:
         self.faults = faults  # optional repro.sim.faults.FaultInjector
         self.cores = [Core(i) for i in range(config.n_cores)]
         self.channel = MemoryChannel(config.mem_banks, config.dram_transfer_cycles)
+        # Per-chunk constants of execute(), read once.
+        self._n_cores = config.n_cores
+        self._issue_width = config.issue_width
 
     def core_of(self, thread: int) -> Core:
         """Scatter placement: thread *i* lives on core ``i % n_cores``.
@@ -74,7 +76,7 @@ class Chip:
         This matches the paper's setup — with ≤31 threads each gets its own
         KNF core; SMT co-residency starts past the core count.
         """
-        return self.cores[thread % self.config.n_cores]
+        return self.cores[thread % self._n_cores]
 
     def threads_per_core(self) -> int:
         """Maximum SMT residency under scatter placement."""
@@ -91,19 +93,16 @@ class Chip:
         The caller must bracket the call between ``core.begin()`` and
         ``core.finish()``; occupancy is read from the core.
         """
-        core = self.core_of(thread)
+        core = self.cores[thread % self._n_cores]
         k = max(1, core.busy)
-        iw = self.config.issue_width
-        compute_eff = compute
+        iw = self._issue_width
         jitter = 1.0
-        if self.faults is not None:
+        faults = self.faults
+        if faults is not None:
             # Clock throttling stretches every issued cycle; transient
             # stalls add exposed latency; jitter degrades the channel.
-            compute_eff = compute * self.faults.compute_factor(core.index, now)
-            stall = stall + self.faults.transient_stall(core.index, now)
-            jitter = self.faults.channel_factor(now)
-        issue_time = k * compute_eff / iw
-        critical_path = compute_eff / iw + stall
-        channel_done = self.channel.service(now, volume, scale=jitter)
-        core.issued_cycles += compute
-        return max(issue_time, critical_path, channel_done - now)
+            compute = compute * faults.compute_factor(core.index, now)
+            stall = stall + faults.transient_stall(core.index, now)
+            jitter = faults.channel_factor(now)
+        channel_done = self.channel.service(now, volume, jitter)
+        return max(k * compute / iw, compute / iw + stall, channel_done - now)

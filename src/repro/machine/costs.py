@@ -85,11 +85,10 @@ class WorkCosts:
 
     def range_cost(self, lo: int, hi: int) -> tuple[float, float, float]:
         """(compute, stall, volume) summed over items ``[lo, hi)``."""
-        if not 0 <= lo <= hi <= len(self):
+        pc, ps, pv = self._pc, self._ps, self._pv
+        if not 0 <= lo <= hi < len(pc):
             raise IndexError(f"range [{lo}, {hi}) out of bounds for {len(self)}")
-        return (self._pc[hi] - self._pc[lo],
-                self._ps[hi] - self._ps[lo],
-                self._pv[hi] - self._pv[lo])
+        return pc[hi] - pc[lo], ps[hi] - ps[lo], pv[hi] - pv[lo]
 
     @property
     def total(self) -> tuple[float, float, float]:

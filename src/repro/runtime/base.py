@@ -273,30 +273,31 @@ class LoopContext:
         fault injection, a hung SMT context first waits out its freeze
         window.
         """
+        engine, stats, chip = self.engine, self.stats, self.chip
         if self.faults is not None:
-            hang = self.faults.hang_delay(tid, self.engine.now)
+            now = engine.now
+            hang = self.faults.hang_delay(tid, now)
             if hang > 0:
-                self.stats.hang_cycles += hang
-                self.stats.hangs.append((tid, self.engine.now,
-                                         self.engine.now + hang))
+                stats.hang_cycles += hang
+                stats.hangs.append((tid, now, now + hang))
                 if self.trace is not None:
-                    self.trace.span("hang", PID_THREADS, tid, self.engine.now,
-                                    self.engine.now + hang)
+                    self.trace.span("hang", PID_THREADS, tid, now, now + hang)
                 yield hang
         compute, stall, volume = self.work.range_cost(lo, hi)
-        core = self.chip.core_of(tid)
+        core = chip.core_of(tid)
         core.begin()
-        start = self.engine.now
-        duration = self.chip.execute(start, tid, compute, stall, volume)
+        start = engine.now
+        duration = chip.execute(start, tid, compute, stall, volume)
         yield duration
         core.finish()
-        self.stats.busy_cycles += duration
-        self.stats.chunks.append(ChunkExec(lo, hi, tid, start, self.engine.now))
+        end = engine.now
+        stats.busy_cycles += duration
+        stats.chunks.append(ChunkExec(lo, hi, tid, start, end))
         if self.trace is not None:
-            self.trace.span("chunk", PID_THREADS, tid, start, self.engine.now,
+            self.trace.span("chunk", PID_THREADS, tid, start, end,
                             lo=lo, hi=hi)
         if self.check is not None:
-            self.check.on_chunk(tid, lo, hi, start, self.engine.now)
+            self.check.on_chunk(tid, lo, hi, start, end)
 
     def init_tls(self, tid: int, tls_entries: int, lazy: bool):
         """Generator fragment: pay a thread's scratch-state first touch.

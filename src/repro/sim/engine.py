@@ -9,7 +9,10 @@ Simulated threads are Python generators that ``yield`` requests:
 The engine is deterministic: ties in time are broken by scheduling order
 (a monotonically increasing sequence number), so identical inputs always
 produce identical schedules — a property the tests assert and the
-experiment harness relies on for reproducibility.
+experiment harness relies on for reproducibility.  A process whose
+wake-up is strictly the next event resumes in place instead of taking a
+heap round-trip (:meth:`Process._step`); the order, count and time of
+every event are unchanged.
 
 Time is measured in clock cycles (floats).  Resources with queueing
 semantics (atomics, memory channels) live in :mod:`repro.sim.resources`
@@ -31,7 +34,8 @@ Hardening (used by the fault-injection layer, :mod:`repro.sim.faults`):
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, Generator
 
@@ -109,6 +113,9 @@ class Engine:
         self._now = 0.0
         self._heap: list = []
         self._seq = count()
+        # Latest wake-up time a process may run ahead to: run()'s
+        # ``until`` and ``max_time``, whichever is earlier (see Process._step).
+        self._horizon = -math.inf
         self._active = 0  # processes not yet finished
         self._processes: list[Process] = []
         self.max_events = max_events
@@ -126,9 +133,9 @@ class Engine:
 
     def schedule(self, delay: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` after *delay* cycles."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), fn, args))
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay}")
+        heappush(self._heap, (self._now + delay, next(self._seq), fn, args))
 
     def spawn(self, gen: Generator, name: str | None = None,
               tid: int | None = None) -> "Process":
@@ -169,14 +176,18 @@ class Engine:
         still blocked, and :class:`SimulationTimeout` if a watchdog
         budget is exceeded.
         """
-        while self._heap:
-            t, _, fn, args = self._heap[0]
-            if until is not None and t > until:
-                # Stopped early with work still pending: not a deadlock.
-                return self._now
-            if self.max_time is not None and t > self.max_time:
+        horizon = min(math.inf if until is None else until,
+                      math.inf if self.max_time is None else self.max_time)
+        self._horizon = horizon
+        heap = self._heap
+        while heap:
+            t, _, fn, args = heap[0]
+            if t > horizon:
+                if until is not None and t > until:
+                    # Stopped early with work still pending: not a deadlock.
+                    return self._now
                 raise self._timeout("time", self.max_time)
-            heapq.heappop(self._heap)
+            heappop(heap)
             self._now = t
             fn(*args)
             self.events_processed += 1
@@ -208,6 +219,7 @@ class Process:
         self.finished = False
         self.killed = False
         self.waiting_on = None  # Barrier/Condition currently blocking us
+        self._wake = self._step  # one bound method for every heap entry
         engine._active += 1
         engine._processes.append(self)
         engine.schedule(0.0, self._step)
@@ -224,21 +236,45 @@ class Process:
             self.engine.check.on_kill(self.tid)
 
     def _step(self) -> None:
+        """Resume the generator until it blocks, finishes or sleeps.
+
+        A sleep whose wake-up time is strictly earlier than every pending
+        event, and within ``run()``'s horizon, is the event ``run()``
+        would pop next: the process runs ahead in place, counting the
+        event (and checking the event budget) exactly where ``run()``
+        would.  Equal times go through the heap, where the older
+        sequence number wins (DESIGN.md §3, "Event order").
+        """
         self.waiting_on = None
-        try:
-            request = self.gen.send(None)
-        except StopIteration:
-            self._retire()
-            return
-        except ThreadKilled:
-            self._retire(killed=True)
-            return
-        if isinstance(request, (int, float)):
-            self.engine.schedule(float(request), self._step)
-        elif isinstance(request, (Barrier, Condition)):
-            request._block(self)
-        else:
-            raise TypeError(f"process yielded unsupported request {request!r}")
+        engine = self.engine
+        heap = engine._heap
+        send = self.gen.send
+        while True:
+            try:
+                request = send(None)
+            except StopIteration:
+                self._retire()
+                return
+            except ThreadKilled:
+                self._retire(killed=True)
+                return
+            if not isinstance(request, (int, float)):
+                if isinstance(request, (Barrier, Condition)):
+                    request._block(self)
+                    return
+                raise TypeError(
+                    f"process yielded unsupported request {request!r}")
+            if not request >= 0:
+                raise ValueError(f"negative or NaN delay {request}")
+            t = engine._now + float(request)
+            if t > engine._horizon or (heap and t >= heap[0][0]):
+                heappush(heap, (t, next(engine._seq), self._wake, ()))
+                return
+            engine.events_processed += 1
+            if engine.max_events is not None \
+                    and engine.events_processed > engine.max_events:
+                raise engine._timeout("events", engine.max_events)
+            engine._now = t
 
 
 class Barrier:

@@ -21,6 +21,8 @@ single ``is not None`` test.
 
 from __future__ import annotations
 
+from heapq import heapreplace
+
 from repro.check import checker as _check
 from repro.obs import tracer as _obs_tracer
 from repro.obs.tracer import PID_RESOURCES
@@ -111,8 +113,10 @@ class TicketLock:
 class MemoryChannel:
     """DRAM bandwidth model: *banks* parallel servers.
 
-    A transfer of ``volume`` lines occupies the least-loaded bank for
-    ``volume * cycles_per_line`` cycles.  While total demand stays under
+    A transfer of ``volume`` lines occupies the bank that frees earliest
+    (lowest index on ties) for ``volume * cycles_per_line`` cycles; the
+    banks sit in a ``(free_time, bank)`` heap, so the pick is one
+    ``heapreplace``.  While total demand stays under
     the aggregate bandwidth no queueing occurs (the paper observed the KNF
     memory subsystem "scales well" — coloring stayed linear to 121
     threads); an ablation bench shrinks the bank count to show what
@@ -129,7 +133,7 @@ class MemoryChannel:
             raise ValueError(f"banks must be >= 1, got {banks}")
         if cycles_per_line < 0:
             raise ValueError(f"cycles_per_line must be >= 0, got {cycles_per_line}")
-        self._banks = [0.0] * banks
+        self._banks = [(0.0, i) for i in range(banks)]  # (free_time, bank) heap
         self.cycles_per_line = cycles_per_line
         self.label = label
         self.transfers = 0
@@ -157,11 +161,11 @@ class MemoryChannel:
             raise ValueError(f"scale must be > 0, got {scale}")
         if volume == 0:
             return now
-        i = min(range(len(self._banks)), key=self._banks.__getitem__)
-        start = max(now, self._banks[i])
+        free, i = self._banks[0]
+        start = free if free > now else now
         self.wait_cycles += start - now
         done = start + volume * self.cycles_per_line * scale
-        self._banks[i] = done
+        heapreplace(self._banks, (done, i))
         self.transfers += 1
         self.lines += volume
         self.busy_cycles += done - start

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["ChunkExec", "LoopStats"]
 
 
-@dataclass(frozen=True)
-class ChunkExec:
+class ChunkExec(NamedTuple):
     """One executed chunk: items ``[lo, hi)`` ran on *thread* over
-    ``[start, end)`` simulated cycles."""
+    ``[start, end)`` simulated cycles.
+
+    A named tuple, not a dataclass: one is built per simulated chunk.
+    """
 
     lo: int
     hi: int

@@ -29,6 +29,24 @@ class TestEngine:
         with pytest.raises(ValueError, match="negative"):
             Engine().schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Engine().schedule(float("nan"), lambda: None)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_bad_yield_rejected(self, delay):
+        eng = Engine()
+        log = []
+        eng.schedule(2.0, log.append, "later")
+
+        def proc():
+            yield delay
+
+        eng.spawn(proc())
+        with pytest.raises(ValueError, match="negative or NaN"):
+            eng.run()
+        assert log == [] and eng.now == 0.0
+
     def test_run_until(self):
         eng = Engine()
         log = []
@@ -212,10 +230,10 @@ class TestCondition:
 
 class TestWatchdog:
     @staticmethod
-    def ticker(eng):
+    def ticker(eng, step=1.0):
         def proc():
             while True:
-                yield 1.0
+                yield step
         return proc
 
     def test_event_budget(self):
@@ -399,3 +417,73 @@ class TestThreadKilledRetire:
         eng.spawn(proc())
         with pytest.raises(ValueError, match="boom"):
             eng.run()
+
+
+class TestRunAhead:
+    """A wake-up strictly earlier than every pending event resumes its
+    process in place; nothing observable may differ from the heap path."""
+
+    def test_equal_time_heap_event_runs_first(self):
+        eng = Engine()
+        log = []
+
+        def proc():
+            yield 5.0
+            log.append(("proc", eng.now))
+
+        eng.spawn(proc())
+        eng.schedule(5.0, lambda: log.append(("event", eng.now)))
+        eng.run()
+        assert log == [("event", 5.0), ("proc", 5.0)]
+
+    def test_interleaving_follows_time_then_seq(self):
+        eng = Engine()
+        log = []
+
+        def proc(name, step, n):
+            for _ in range(n):
+                yield step
+                log.append((name, eng.now))
+
+        eng.spawn(proc("x", 2.0, 3))
+        eng.spawn(proc("y", 3.0, 2))
+        eng.run()
+        assert log == [("x", 2.0), ("y", 3.0), ("x", 4.0), ("y", 6.0),
+                       ("x", 6.0)]
+        assert eng.events_processed == 7
+
+    def test_run_until_stops_at_the_same_event(self):
+        eng = Engine()
+        times = []
+
+        def proc():
+            for _ in range(6):
+                yield 1.0
+                times.append(eng.now)
+
+        eng.spawn(proc())
+        assert eng.run(until=3.0) == 3.0
+        assert times == [1.0, 2.0, 3.0]
+        assert eng.events_processed == 4
+        assert eng.run() == 6.0
+        assert times == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert eng.events_processed == 7
+
+    def test_max_time_raises_at_the_same_time_and_count(self):
+        from repro.sim.engine import SimulationTimeout
+        eng = Engine(max_time=10.0)
+        eng.spawn(TestWatchdog.ticker(eng, 3.0)())
+        with pytest.raises(SimulationTimeout) as exc:
+            eng.run()
+        assert exc.value.kind == "time"
+        assert (exc.value.now, exc.value.events) == (9.0, 4)
+        assert eng.events_processed == 4
+
+    def test_max_events_raises_at_the_same_time_and_count(self):
+        from repro.sim.engine import SimulationTimeout
+        eng = Engine(max_events=3)
+        eng.spawn(TestWatchdog.ticker(eng)())
+        with pytest.raises(SimulationTimeout) as exc:
+            eng.run()
+        assert exc.value.kind == "events"
+        assert (exc.value.now, exc.value.events) == (3.0, 4)
