@@ -27,7 +27,8 @@ from repro._util import env_float
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (AccessSet, KernelRun, gather_neighbors,
                                 wave_partition)
-from repro.kernels.coloring.sequential import greedy_coloring
+from repro.kernels.coloring.sequential import (_first_fit_stamp,
+                                               greedy_coloring)
 from repro.machine.cache import access_profile_cached
 from repro.machine.config import KNF, MachineConfig
 from repro.machine.costs import (WorkCosts, coloring_conflict_costs,
@@ -37,6 +38,7 @@ from repro.runtime.base import RuntimeSpec
 __all__ = ["ColoringRun", "parallel_coloring", "color_race_fraction"]
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_ONE = np.uint64(1)
 
 #: Probability that two *same-instant* adjacent colourings actually race.
 #: The lockstep replay marks whole vertex-processing slots as simultaneous,
@@ -219,52 +221,84 @@ def _replay_tentative(graph, visit, colors, chunks, n_threads,
     *same* instant.  Conflicts therefore arise exactly between
     simultaneously-processed adjacent vertices, which is the race the
     paper's speculative algorithm tolerates and repairs.
+
+    The instants are laid out once per pass and every neighbour list is
+    gathered once; each instant then costs one gather of colour bits and
+    one segmented OR.  ``write_time`` records each vertex's instant for
+    the conflict pass and is never read here: within a pass every earlier
+    write is visible and no same-instant write is.
+    Degree-0 vertices read nothing, so they take colour 1 outside the
+    instant loop.  Returns the last instant of the pass.
     """
     indptr, indices = graph.indptr, graph.indices
-    waves = wave_partition(chunks, n_threads)
-    tick = time0
-    for wave in waves:
-        lows = np.asarray([c.lo for c in wave], dtype=np.int64)
-        sizes = np.asarray([c.hi - c.lo for c in wave], dtype=np.int64)
-        for p in range(int(sizes.max())):
-            tick += 1
-            live = sizes > p
-            verts = visit[lows[live] + p]
-            _color_wave_step(indptr, indices, colors, verts, tick, write_time)
-    return tick
-
-
-def _color_wave_step(indptr, indices, colors, verts, tick, write_time):
-    """Colour one lockstep instant across concurrent chunks (vectorised)."""
-    nbrs, seg = gather_neighbors(indptr, indices, verts)
-    nc = colors[nbrs]
-    visible = (nc > 0) & (write_time[nbrs] < tick)
-    small = visible & (nc <= 64)
-    masks = np.zeros(len(verts), dtype=np.uint64)
-    if len(nbrs):
-        contrib = np.where(small, _BITS[np.where(small, nc - 1, 0)],
-                           np.uint64(0))
-        np.bitwise_or.at(masks, seg, contrib)
-    low = (~masks) & (masks + np.uint64(1))
-    overflow = low == 0
-    mex = np.zeros(len(verts), dtype=np.int64)
-    ok = ~overflow
-    mex[ok] = np.log2(low[ok].astype(np.float64)).astype(np.int64) + 1
-    if overflow.any() or (visible & ~small).any():
-        # Rare path: colour counts past 64 — per-vertex exact first fit.
-        need = np.unique(np.concatenate([np.nonzero(overflow)[0],
-                                         np.unique(seg[visible & ~small])]))
-        for i in need:
-            vn = nc[(seg == i) & visible]
-            seen = np.zeros(len(vn) + 2, dtype=bool)
-            seen[vn[vn <= len(vn) + 1] - 1] = True
-            mex[i] = int(np.argmin(seen)) + 1
-    colors[verts] = mex
+    ordered = [c for wave in wave_partition(chunks, n_threads) for c in wave]
+    if not ordered:
+        return time0
+    lo = np.fromiter((c.lo for c in ordered), np.int64, len(ordered))
+    size = np.fromiter((c.hi - c.lo for c in ordered), np.int64,
+                       len(ordered))
+    # Instant of position p of chunk j: the instants of every earlier wave,
+    # plus p + 1.  A stable sort by instant keeps wave order within one.
+    n_waves = -(-len(ordered) // n_threads)
+    steps = np.zeros(n_waves * n_threads, dtype=np.int64)
+    steps[:len(ordered)] = size
+    steps = steps.reshape(n_waves, n_threads).max(axis=1)
+    first = time0 + np.cumsum(steps) - steps + 1
+    last = int(time0 + steps.sum())
+    item_start = np.cumsum(size) - size
+    p = np.arange(int(size.sum()), dtype=np.int64) - np.repeat(item_start,
+                                                               size)
+    inst = np.repeat(first[np.arange(len(ordered)) // n_threads], size) + p
+    order = np.argsort(inst, kind="stable")
+    inst = inst[order]
+    verts = visit[(np.repeat(lo, size) + p)[order]]
     # repro: ignore[fp-undeclared-write] write_time is replay-side
     # bookkeeping (which lockstep instant committed each colour), not
     # simulated shared state; it never exists on the modelled machine,
     # so the checker has nothing to audit.
-    write_time[verts] = tick
+    write_time[verts] = inst
+
+    deg = indptr[verts + 1] - indptr[verts]
+    isolated = deg == 0
+    colors[verts[isolated]] = 1
+    if isolated.any():
+        keep = ~isolated
+        verts, inst, deg = verts[keep], inst[keep], deg[keep]
+    if not len(verts):
+        return last
+    # One lean gather of every neighbour list, in instant order.
+    off = np.cumsum(deg) - deg
+    nbrs = indices[np.repeat(indptr[verts] - off, deg)
+                   + np.arange(int(deg.sum()), dtype=np.int64)]
+    cuts = np.flatnonzero(np.diff(inst)) + 1
+    v_lo = np.concatenate(([0], cuts))
+    v_hi = np.append(cuts, len(verts))
+    e_lo, e_hi = off[v_lo], np.append(off[cuts], len(nbrs))
+    seg = off - np.repeat(e_lo, v_hi - v_lo)
+    wide = np.logical_or.reduceat(deg >= 64, v_lo)
+    # Each vertex's colour bit, kept in step with colors through the pass:
+    # bit c - 1 for colour c <= 64, none for colour 0 or above 64.
+    color_bits = np.zeros(len(colors), dtype=np.uint64)
+    low_color = (colors > 0) & (colors <= 64)
+    color_bits[low_color] = _BITS[colors[low_color] - 1]
+    for a, b, ea, eb, w in zip(v_lo.tolist(), v_hi.tolist(), e_lo.tolist(),
+                               e_hi.tolist(), wide.tolist()):
+        mask = np.bitwise_or.reduceat(color_bits.take(nbrs[ea:eb]), seg[a:b])
+        low = ~mask & (mask + _ONE)
+        # frexp(2**k) has exponent k + 1: the lowest free colour, or 0
+        # when colours 1..64 are all taken.
+        mex = np.frexp(low.astype(np.float64))[1]
+        if w:
+            # Only a vertex of degree >= 64 can see all 64 low colours:
+            # exact first fit over its visible neighbour colours.
+            nc = colors.take(nbrs[ea:eb])
+            ends = np.append(seg[a + 1:b], eb - ea)
+            for i in np.flatnonzero(mex == 0).tolist():
+                vn = nc[seg[a + i]:ends[i]]
+                mex[i] = _first_fit_stamp(vn[vn > 0])
+        colors[verts[a:b]] = mex
+        color_bits[verts[a:b]] = low
+    return last
 
 
 def _detect_conflicts(graph, visit, colors, write_time=None, rng=None,
@@ -277,11 +311,22 @@ def _detect_conflicts(graph, visit, colors, write_time=None, rng=None,
     if it saw the write, so it is re-first-fitted in place instead of
     being queued for another round (see ``COLOR_RACE_FRACTION``).
     """
-    nbrs, seg = gather_neighbors(graph.indptr, graph.indices, visit)
-    if not len(nbrs):
-        return np.zeros(0, dtype=np.int64)
-    v = visit[seg]
-    clash = (colors[v] == colors[nbrs]) & (v < nbrs)
+    n = graph.n_vertices
+    if len(visit) == n and np.array_equal(visit, np.arange(n)):
+        # Every vertex (round 0): the CSR arrays are the gather, and only
+        # the few same-colour entries need their owning vertex.  Colours
+        # are at most n, so they compare exactly as int32.
+        c32 = colors.astype(np.int32)
+        same = np.flatnonzero(np.repeat(c32, graph.degrees)
+                              == c32.take(graph.indices))
+        v = np.searchsorted(graph.indptr, same, side="right") - 1
+        nbrs = graph.indices[same].astype(np.int64)
+    else:
+        nbrs, seg = gather_neighbors(graph.indptr, graph.indices, visit)
+        v = visit[seg]
+        same = colors[v] == colors[nbrs]
+        v, nbrs = v[same], nbrs[same]
+    clash = v < nbrs
     cv, cw = v[clash], nbrs[clash]
     if len(cv) and race_fraction < 1.0 and rng is not None:
         real = rng.random(len(cv)) < race_fraction

@@ -7,9 +7,10 @@ algorithm (§V-B: parallel colour counts stay within 5 %).
 
 Two interchangeable inner loops:
 
-* a *bitset* path (colours ≤ 63): per vertex, one vectorised gather of
-  neighbour colours and one ``bitwise_or`` reduction; the smallest missing
-  colour is the lowest zero bit,
+* a *bitset* path (colours ≤ 63): each vertex's colour is also kept as
+  a bit (colour 0, "not yet coloured", has none), so a vertex costs one
+  gather of its neighbours' bits and one ``bitwise_or`` reduction; the
+  smallest missing colour is the lowest zero bit,
 * a *stamp* path (the textbook ``forbiddenColors`` array stamped with the
   current vertex, exactly Algorithm 1), used for high colour counts and as
   a cross-check in tests.
@@ -24,6 +25,11 @@ from repro.graph.csr import CSRGraph
 __all__ = ["greedy_coloring", "greedy_coloring_stamp"]
 
 _BITSET_LIMIT = 63  # colours representable in one uint64 (bit c-1 = colour c)
+
+#: ``_COLOR_BIT[c]`` is colour ``c``'s bit; colour 0 has none.
+_COLOR_BIT = np.concatenate([np.zeros(1, dtype=np.uint64),
+                             np.uint64(1) << np.arange(_BITSET_LIMIT,
+                                                       dtype=np.uint64)])
 
 
 def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
@@ -54,22 +60,25 @@ def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
         colors = np.zeros(n, dtype=np.int64)
     elif len(colors) != n:
         raise ValueError(f"colors has length {len(colors)}, expected {n}")
-    if order is None:
-        order = range(n)
-    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    ip = indptr.tolist()
+    order = range(n) if order is None else np.asarray(order).tolist()
     maxcolor = int(colors.max()) if n else 0
+    # Each vertex's colour bit, kept in step with colors while the
+    # bitset path runs (colour 0 has no bit).
+    color_bits = _COLOR_BIT[colors] if maxcolor <= _BITSET_LIMIT else None
+    bitwise_or = np.bitwise_or.reduce
     for v in order:
-        nbr = indices[indptr[v]:indptr[v + 1]]
-        nc = colors[nbr]
-        nc = nc[nc > 0]
-        if nc.size == 0:
-            c = 1
-        elif maxcolor <= _BITSET_LIMIT:
-            mask = int(np.bitwise_or.reduce(bits[nc - 1]))
+        nbr = indices[ip[v]:ip[v + 1]]
+        if maxcolor <= _BITSET_LIMIT:
+            mask = int(bitwise_or(color_bits.take(nbr)))
             # lowest zero bit of mask -> smallest permissible colour
-            c = (~mask & (mask + 1)).bit_length()
+            low = ~mask & (mask + 1)
+            c = low.bit_length()
+            color_bits[v] = low
         else:
-            c = _first_fit_stamp(nc)
+            nc = colors[nbr]
+            nc = nc[nc > 0]
+            c = _first_fit_stamp(nc) if nc.size else 1
         colors[v] = c
         if c > maxcolor:
             maxcolor = c

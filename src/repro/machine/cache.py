@@ -74,7 +74,9 @@ class AccessProfile:
 
 def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum *values* over CSR segments (robust to empty segments)."""
-    cs = np.concatenate([[0.0], np.cumsum(values)])
+    cs = np.empty(len(values) + 1)
+    cs[0] = 0.0
+    np.cumsum(values, out=cs[1:])
     return cs[indptr[1:]] - cs[indptr[:-1]]
 
 
@@ -90,6 +92,10 @@ def access_profile(
     ``state_bytes`` is the element size of the randomly-accessed state
     array (4 for ``color``/``bfs`` int arrays, 8 for the microbenchmark's
     doubles).
+
+    Every per-entry quantity depends on the entry only through its
+    integer ID distance, so each is evaluated once per distance and
+    gathered by distance: the same floats as evaluating it per entry.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -107,9 +113,10 @@ def access_profile(
     degrees = graph.degrees.astype(np.float64)
     avg_deg = max(1.0, float(degrees.mean()))
 
-    # --- per-entry local-hit probability --------------------------------
+    # --- per-distance local-hit probability -----------------------------
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    dist = np.abs(src - graph.indices.astype(np.int64)).astype(np.float64)
+    src -= graph.indices
+    dist = np.abs(src, out=src)
     # Sweep footprint: *new* lines touched per vertex swept — its
     # state-array share and its adjacency-stream share.  (Neighbour lines
     # are not counted separately: in a banded ordering consecutive
@@ -117,7 +124,8 @@ def access_profile(
     # ordering the ID-distance term below already drives the reuse
     # distance past any cache size.)
     footprint = state_bytes / line + avg_deg * INDEX_BYTES / line + 0.5
-    reuse = footprint * dist
+    span = int(dist.max()) + 1 if len(dist) else 1
+    reuse = footprint * np.arange(span, dtype=np.float64)
 
     threads_per_core = -(-n_threads // config.n_cores)
     cores_used = min(n_threads, config.n_cores)
@@ -142,8 +150,18 @@ def access_profile(
                        + p_dram * config.dram_cycles)
 
     # --- aggregate per vertex (segment sums over the CSR layout) ---------
-    stall = _segment_sum(per_entry_stall, graph.indptr)
-    volume = _segment_sum(p_dram, graph.indptr)
+    # One entry-length buffer takes each gathered table in turn (every
+    # distance is in range, so "clip" only skips numpy's bounds buffer).
+    entries = np.empty(len(dist))
+
+    def per_entry(table):
+        return np.take(table, dist, out=entries, mode="clip")
+
+    stall = _segment_sum(per_entry(per_entry_stall), graph.indptr)
+    volume = _segment_sum(per_entry(p_dram), graph.indptr)
+    dram_sum = entries.sum()
+    local_sum = per_entry(p_local).sum()
+    remote_sum = per_entry(p_remote).sum()
 
     # Streamed adjacency: deg * INDEX_BYTES / line lines per vertex, mostly
     # hidden by prefetch (config.stream_visibility exposes a fraction).
@@ -151,13 +169,13 @@ def access_profile(
     volume += stream_lines
     stall += config.stream_visibility * config.dram_cycles * stream_lines
 
-    total = max(1, len(src))
+    total = max(1, len(dist))
     return AccessProfile(
         stall=stall,
         volume=volume,
-        p_local=float(p_local.sum() / total),
-        p_remote=float(p_remote.sum() / total),
-        p_dram=float(p_dram.sum() / total),
+        p_local=float(local_sum / total),
+        p_remote=float(remote_sum / total),
+        p_dram=float(dram_sum / total),
     )
 
 
@@ -174,7 +192,10 @@ def access_profile_cached(graph: CSRGraph, config: MachineConfig,
     """Memoised :func:`access_profile` (graphs hash by identity).
 
     Thread sweeps recompute the same per-edge pricing many times; this
-    keeps the experiment harness linear in distinct configurations.
+    keeps the experiment harness linear in distinct configurations.  The
+    profile reads ``n_threads`` only through the threads per core and the
+    cores used, so the memo is keyed on the smallest thread count with
+    the same pair: on KNF, 41, 51 and 61 threads share one profile.
 
     When a metrics registry (:mod:`repro.obs.metrics`) is active, every
     *use* of a profile — memoised or not — records the expected cache
@@ -182,6 +203,9 @@ def access_profile_cached(graph: CSRGraph, config: MachineConfig,
     per-loop frames can attribute memory behaviour; the recording sits
     outside the LRU wrapper on purpose.
     """
+    if n_threads > config.n_cores:
+        # Same threads per core, all cores used: ceil(t / cores) is fixed.
+        n_threads -= (n_threads - 1) % config.n_cores
     profile = _access_profile_lru(graph, config, n_threads, state_bytes,
                                   cache_scale)
     registry = _obs_metrics.active()
