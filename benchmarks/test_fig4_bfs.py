@@ -15,7 +15,6 @@ import pytest
 from repro.experiments.fig4_bfs import run_fig4_panel
 from repro.experiments.harness import panel_graphs
 from repro.experiments.report import format_panel
-from repro.machine.config import HOST_XEON, KNF
 
 _cache = {}
 
@@ -24,7 +23,7 @@ def _panel_a():
     if "a" not in _cache:
         _cache["a"] = run_fig4_panel(
             "Fig 4(a): BFS speedup, pwtk on Intel MIC",
-            ["OpenMP-Block-relaxed", "OpenMP-Block"], ["pwtk"], KNF)
+            ["OpenMP-Block-relaxed", "OpenMP-Block"], ["pwtk"], "KNF")
     return _cache["a"]
 
 
@@ -32,7 +31,7 @@ def _panel_b():
     if "b" not in _cache:
         _cache["b"] = run_fig4_panel(
             "Fig 4(b): BFS speedup, inline_1 on Intel MIC",
-            ["OpenMP-Block-relaxed", "OpenMP-Block"], ["inline_1"], KNF)
+            ["OpenMP-Block-relaxed", "OpenMP-Block"], ["inline_1"], "KNF")
     return _cache["b"]
 
 
@@ -63,7 +62,7 @@ def test_fig4c_all_mic(run_once):
         lambda: run_fig4_panel(
             "Fig 4(c): BFS speedup, all graphs on Intel MIC",
             ["OpenMP-Block-relaxed", "TBB-Block-relaxed",
-             "CilkPlus-Bag-relaxed"], panel_graphs(), KNF),
+             "CilkPlus-Bag-relaxed"], panel_graphs(), "KNF"),
         describe=format_panel)
     # the bag "performs poorly on Intel MIC whereas the implementation
     # based on the blocked queue performs better" (§V-D)
@@ -77,7 +76,7 @@ def test_fig4d_all_cpu(run_once):
         lambda: run_fig4_panel(
             "Fig 4(d): BFS speedup, all graphs on host CPU",
             ["OpenMP-Block-relaxed", "TBB-Block-relaxed", "OpenMP-TLS",
-             "CilkPlus-Bag-relaxed"], panel_graphs(), HOST_XEON),
+             "CilkPlus-Bag-relaxed"], panel_graphs(), "HOST_XEON"),
         describe=format_panel)
     top = panel.thread_counts[-1]
     # "the Bag and TLS based implementation perform significantly slower

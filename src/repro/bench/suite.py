@@ -174,7 +174,7 @@ def _bench_bfs() -> None:
 def _bench_irregular() -> None:
     from repro.experiments.fig3_irregular import irregular_cycles
     with _pinned_env({}):
-        irregular_cycles("auto", "5 x", 31)
+        irregular_cycles("auto", "OpenMP", 31, iterations=5)
 
 
 # ----- campaign suite: executor and store throughput ------------------------

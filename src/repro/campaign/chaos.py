@@ -197,8 +197,7 @@ def run_chaos(spec, *, jobs: int = 2, kills: int = 1, hangs: int = 1,
     :class:`ChaosReport`; ``report.ok`` is the pass/fail verdict.
     """
     import tempfile
-    from repro.campaign.executor import execute
-    from repro.campaign.runners import run_cell
+    from repro.campaign.executor import execute_cells
     from repro.campaign.store import ResultStore
 
     if workdir is None:
@@ -215,15 +214,12 @@ def run_chaos(spec, *, jobs: int = 2, kills: int = 1, hangs: int = 1,
                          fails=fail_ids)
     retries = max(1, retries if retries is not None else 1)
 
-    common = dict(
-        spec_for=lambda c: c.to_dict(), key_id=lambda c: c.cell_id,
-        family_for=lambda c: c.experiment, progress=progress)
-
     # Phase 1: clean serial baseline.
     t0 = time.time()
     clean_store = ResultStore(os.path.join(workdir, "store-clean"))
-    clean = execute(run_cell, cells, jobs=1, retries=retries,
-                    store=clean_store, desc="cells (clean)", **common)
+    clean = execute_cells(cells, jobs=1, retries=retries,
+                          store=clean_store, progress=progress,
+                          desc="cells (clean)")
     report.clean_seconds = time.time() - t0
     clean_bytes = _payload_bytes(spec, cells, clean)
 
@@ -248,10 +244,10 @@ def run_chaos(spec, *, jobs: int = 2, kills: int = 1, hangs: int = 1,
     t0 = time.time()
     with _ChaosEnv(marker_dir, kill_ids, hang_ids, fail_ids,
                    hang_seconds=max(timeout * 10, 600.0)):
-        chaotic = execute(chaos_run_cell, cells, jobs=max(2, jobs),
-                          retries=retries, store=chaos_store,
-                          timeout=timeout, on_cell=truncate_hook,
-                          desc="cells (chaos)", **common)
+        chaotic = execute_cells(cells, chaos_run_cell, jobs=max(2, jobs),
+                                retries=retries, store=chaos_store,
+                                timeout=timeout, on_cell=truncate_hook,
+                                progress=progress, desc="cells (chaos)")
     report.chaos_seconds = time.time() - t0
     report.resilience = dict(chaotic.resilience)
     report.chaos_identical = _payload_bytes(spec, cells,
@@ -261,8 +257,9 @@ def run_chaos(spec, *, jobs: int = 2, kills: int = 1, hangs: int = 1,
     # must be quarantined and recomputed, not served.
     with _ChaosEnv(marker_dir, kill_ids, hang_ids, fail_ids,
                    hang_seconds=max(timeout * 10, 600.0)):
-        warm = execute(chaos_run_cell, cells, jobs=1, retries=retries,
-                       store=chaos_store, desc="cells (warm)", **common)
+        warm = execute_cells(cells, chaos_run_cell, jobs=1,
+                             retries=retries, store=chaos_store,
+                             progress=progress, desc="cells (warm)")
     report.quarantined = chaos_store.stats.quarantined
     report.warm_identical = _payload_bytes(spec, cells, warm) == clean_bytes
     return report

@@ -42,8 +42,7 @@ def run_campaign(spec, *, jobs=None, retries=None, store=None,
     path, or None for the default store; *retries* defaults to
     ``REPRO_RETRIES`` (1), matching ``run_panel``.
     """
-    from repro.campaign.executor import execute
-    from repro.campaign.runners import run_cell
+    from repro.campaign.executor import execute_cells
     from repro.campaign.store import ResultStore
 
     if store is None or isinstance(store, (str, os.PathLike)):
@@ -51,14 +50,8 @@ def run_campaign(spec, *, jobs=None, retries=None, store=None,
     if retries is None:
         retries = env_int("REPRO_RETRIES", 1, lo=0)
     cells = spec.expand()
-    report = execute(
-        run_cell, cells, jobs=jobs, retries=retries, store=store,
-        spec_for=lambda c: c.to_dict(),
-        labels_for=lambda c: {"graph": c.graph, "variant": c.variant,
-                              "threads": c.threads},
-        progress=progress, desc=f"cells ({spec.name})",
-        key_id=lambda c: c.cell_id,
-        family_for=lambda c: c.experiment)
+    report = execute_cells(cells, jobs=jobs, retries=retries, store=store,
+                           progress=progress, desc=f"cells ({spec.name})")
     return cells, report
 
 
@@ -214,7 +207,7 @@ def _cmd_cache(args) -> int:
     elif args.action == "ls":
         for e in store.entries():
             spec = e.spec if isinstance(e.spec, dict) else {}
-            name = spec.get("experiment") or spec.get("panel") or "?"
+            name = spec.get("experiment", "?")
             coord = (f"{name}/{spec.get('graph', '?')}/"
                      f"{spec.get('variant', '?')}@{spec.get('threads', '?')}")
             flag = " " if e.current else "!"

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from repro._util import env_int
 
-__all__ = ["ExecutionReport", "execute", "default_jobs"]
+__all__ = ["ExecutionReport", "execute", "execute_cells", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -286,6 +286,30 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
         raise RuntimeError(f"cell {key!r} failed after {retries} "
                            f"retr{'y' if retries == 1 else 'ies'}: {error}")
     return report
+
+
+def _cell_labels(cell) -> dict:
+    return {"graph": cell.graph, "variant": cell.variant,
+            "threads": cell.threads}
+
+
+def execute_cells(cells, runner=None, **kwargs) -> ExecutionReport:
+    """:func:`execute` over :class:`~repro.campaign.spec.CellSpec` keys.
+
+    The one executor call campaigns, figure panels and the chaos harness
+    share: a cell is stored under its canonical dict, named by its cell
+    ID, labelled by its coordinate and grouped by experiment for the
+    circuit breaker.  *runner* defaults to
+    :func:`repro.campaign.runners.run_cell`; *kwargs* go to
+    :func:`execute`.
+    """
+    from repro.campaign.runners import run_cell
+    from repro.campaign.spec import CellSpec
+
+    return execute(runner or run_cell, cells, spec_for=CellSpec.to_dict,
+                   labels_for=_cell_labels,
+                   key_id=lambda cell: cell.cell_id,
+                   family_for=lambda cell: cell.experiment, **kwargs)
 
 
 def _execute_serial(runner, work, retries, on_error, labels_for, registry,

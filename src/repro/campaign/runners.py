@@ -10,7 +10,8 @@ Registered experiments:
 
 ``coloring``
     Figure 1/2 colouring runner; ``params.ordering`` selects the vertex
-    ordering (``natural``/``random``/...), variants are the
+    ordering (``natural``/``random``/...), ``params.chunk`` overrides the
+    variant's chunk size (the chunk-size sweep), variants are the
     :data:`~repro.experiments.fig1_coloring.COLORING_VARIANTS` labels.
 ``bfs``
     Figure 4 layered BFS; ``params.block`` overrides the block size.
@@ -21,6 +22,8 @@ Registered experiments:
     Fault-degradation runners; the grid's third axis is the fault
     intensity in percent (``axis="intensity"``) and the campaign seed
     selects the fault scenario.
+
+Every cell names its machine in :data:`repro.machine.config.MACHINES`.
 
 Graph resolution: every adapter reaches its suite graph through
 :func:`repro.graph.suite.suite_graph` (directly or via
@@ -37,12 +40,9 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
+from repro.machine.config import MACHINES
+
 __all__ = ["runner_names", "known_variants", "run_cell"]
-
-
-def _machine(name: str):
-    from repro.machine.config import HOST_XEON, KNF
-    return {"KNF": KNF, "HOST_XEON": HOST_XEON}[name]
 
 
 @contextmanager
@@ -67,25 +67,25 @@ def _run_coloring(cell) -> float:
     params = dict(cell.params)
     return coloring_cycles(cell.graph, cell.variant, cell.threads,
                            ordering=params.get("ordering", "natural"),
-                           config=_machine(cell.machine), seed=cell.seed)
+                           config=MACHINES[cell.machine], seed=cell.seed,
+                           chunk=params.get("chunk"))
 
 
 def _run_bfs(cell) -> float:
     from repro.experiments.fig4_bfs import BLOCK_SIZE, bfs_cycles
     params = dict(cell.params)
     return bfs_cycles(cell.graph, cell.variant, cell.threads,
-                      config=_machine(cell.machine),
+                      config=MACHINES[cell.machine],
                       block=int(params.get("block", BLOCK_SIZE)),
                       seed=cell.seed)
 
 
 def _run_irregular(cell) -> float:
     from repro.experiments.fig3_irregular import irregular_cycles
-    params = dict(cell.params)
-    iterations = int(params.get("iterations", 1))
-    return irregular_cycles(cell.graph, f"{iterations} x", cell.threads,
-                            model=cell.variant,
-                            config=_machine(cell.machine), seed=cell.seed)
+    iterations = int(dict(cell.params).get("iterations", 1))
+    return irregular_cycles(cell.graph, cell.variant, cell.threads,
+                            iterations=iterations,
+                            config=MACHINES[cell.machine], seed=cell.seed)
 
 
 def _run_coloring_faults(cell) -> float:

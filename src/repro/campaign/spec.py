@@ -154,12 +154,15 @@ class CampaignSpec:
 
         Reuses the harness' validated thread parsing so a bad thread
         count in a spec file fails with the same message as a bad
-        ``REPRO_THREADS`` entry, and checks graphs against the suite and
-        variants against the runner registry.
+        ``REPRO_THREADS`` entry, and checks graphs against the suite,
+        variants against the runner registry, the machine against
+        :data:`~repro.machine.config.MACHINES` and thread counts against
+        that machine's hardware contexts.
         """
         from repro.campaign.runners import known_variants, runner_names
         from repro.experiments.harness import parse_thread_counts
         from repro.graph.suite import SUITE
+        from repro.machine.config import MACHINES
 
         if self.experiment not in runner_names():
             raise ValueError(
@@ -183,6 +186,9 @@ class CampaignSpec:
                 raise ValueError(
                     f"campaign {self.name!r}: unknown variants {bad} for "
                     f"experiment {self.experiment!r} (known: {sorted(known)})")
+        if self.machine not in MACHINES:
+            raise ValueError(f"campaign {self.name!r}: machine must be one "
+                             f"of {sorted(MACHINES)}, got {self.machine!r}")
         if self.axis == "intensity":
             bad = [t for t in self.threads
                    if not isinstance(t, int) or not 0 <= t <= 100]
@@ -191,11 +197,12 @@ class CampaignSpec:
                     f"campaign {self.name!r}: intensity axis values must be "
                     f"integers in 0..100, got {self.threads}")
         else:
-            parse_thread_counts(self.threads,
-                                source=f"campaign {self.name!r} threads")
-        if self.machine not in ("KNF", "HOST_XEON"):
-            raise ValueError(f"campaign {self.name!r}: machine must be KNF "
-                             f"or HOST_XEON, got {self.machine!r}")
+            counts = parse_thread_counts(
+                self.threads, source=f"campaign {self.name!r} threads")
+            try:
+                MACHINES[self.machine].check_threads(counts[-1])
+            except ValueError as e:
+                raise ValueError(f"campaign {self.name!r}: {e}") from None
         if not self.seeds:
             raise ValueError(f"campaign {self.name!r}: no seeds")
         for s in self.seeds:

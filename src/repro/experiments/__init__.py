@@ -8,7 +8,6 @@ from repro.experiments.harness import (
     geomean,
     panel_graphs,
     panel_threads,
-    panel_store,
     parse_graph_names,
     parse_thread_counts,
     env_csv,
@@ -62,7 +61,7 @@ from repro.experiments.ablations import (
 
 __all__ = [
     "THREADS_MIC", "THREADS_HOST", "PanelResult", "run_panel", "geomean",
-    "panel_graphs", "panel_threads", "panel_store", "parse_graph_names",
+    "panel_graphs", "panel_threads", "parse_graph_names",
     "parse_thread_counts", "env_csv", "fast_mode",
     "ordered_suite_graph", "repeat_average",
     "format_panel", "format_panel_per_graph", "format_rows", "print_panel",

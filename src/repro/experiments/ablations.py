@@ -12,36 +12,38 @@ Each ablation isolates one design choice the paper discusses:
   priced as DRAM): the super-linear Figure 2 speedup collapses to ≤ t;
 * **memory bandwidth** — shrink the DRAM channel until the linear
   coloring scaling breaks (the saturation the KNF prototype avoided).
+
+Each series is a campaign cell on a named machine of
+:data:`repro.machine.config.MACHINES`, so ablation cells share the
+result store with figures and campaigns.
 """
 
 from __future__ import annotations
 
-
-from repro.experiments.fig1_coloring import COLORING_VARIANTS, coloring_cycles
-from repro.experiments.fig4_bfs import bfs_cycles, run_fig4_panel
-from repro.experiments.harness import PanelResult, run_panel, scale_of
-from repro.graph.suite import suite_graph
-from repro.kernels.coloring.parallel import parallel_coloring
-from repro.machine.config import KNF
+from repro.experiments.fig4_bfs import BLOCK_SIZE, run_fig4_panel
+from repro.experiments.harness import PanelResult, run_panel
 
 __all__ = ["run_block_size_ablation", "run_relaxed_ablation",
            "run_smt_ablation", "run_cache_ablation",
            "run_bandwidth_ablation", "run_all_ablations"]
 
 
+def _coloring(machine: str, ordering: str) -> dict:
+    """OpenMP-dynamic colouring on a named machine (ablation series)."""
+    return {"experiment": "coloring", "variant": "OpenMP-dynamic",
+            "machine": machine, "params": {"ordering": ordering}}
+
+
 def run_block_size_ablation(graphs=None, threads=None, jobs=None,
                             store=None) -> PanelResult:
     """BFS speedup vs. queue block size (OpenMP-Block-relaxed)."""
-    graphs = graphs or ["pwtk", "inline_1"]
-
-    def runner(g, variant, t):
-        block = int(variant.split("=")[1])
-        return bfs_cycles(g, "OpenMP-Block-relaxed", t, block=block)
-
-    variants = [f"b={b}" for b in (8, 16, 32, 64, 128)]
+    panel = {f"b={b}": {"experiment": "bfs",
+                        "variant": "OpenMP-Block-relaxed",
+                        "params": {} if b == BLOCK_SIZE else {"block": b}}
+             for b in (8, 16, 32, 64, 128)}
     return run_panel("Ablation: BFS block size (OpenMP-Block-relaxed)",
-                     runner, variants, graphs=graphs, threads=threads,
-                     per_variant_baseline=False, jobs=jobs, store=store)
+                     panel, graphs=graphs or ["pwtk", "inline_1"],
+                     threads=threads, jobs=jobs, store=store)
 
 
 def run_relaxed_ablation(graphs=None, threads=None, jobs=None,
@@ -50,27 +52,18 @@ def run_relaxed_ablation(graphs=None, threads=None, jobs=None,
     return run_fig4_panel(
         "Ablation: relaxed vs locked queues (BFS, Intel MIC)",
         ["OpenMP-Block-relaxed", "OpenMP-Block"],
-        graphs or ["pwtk", "inline_1", "ldoor"], KNF, threads=threads,
+        graphs or ["pwtk", "inline_1", "ldoor"], threads=threads,
         jobs=jobs, store=store)
 
 
 def run_smt_ablation(graphs=None, threads=None, jobs=None,
                      store=None) -> PanelResult:
-    """Coloring on shuffled graphs with 1-way vs. 4-way SMT cores."""
-    graphs = graphs or ["hood", "msdoor"]
-    no_smt = KNF.with_(name="KNF-noSMT", smt_per_core=1)
-
-    def runner(g, variant, t):
-        config = KNF if variant.endswith("4-way") else no_smt
-        if t > config.max_threads:
-            t = config.max_threads
-        graph = suite_graph(g)
-        run = parallel_coloring(graph, t, COLORING_VARIANTS["OpenMP-dynamic"],
-                                config=config, cache_scale=scale_of(g))
-        return run.total_cycles
-
+    """Coloring with 1-way vs. 4-way SMT cores; past 31 threads the
+    1-way machine runs at its 31 hardware contexts."""
+    panel = {"SMT 4-way": _coloring("KNF", "natural"),
+             "SMT 1-way": _coloring("KNF-noSMT", "natural")}
     return run_panel("Ablation: SMT on/off (coloring, natural order)",
-                     runner, ["SMT 4-way", "SMT 1-way"], graphs=graphs,
+                     panel, graphs=graphs or ["hood", "msdoor"],
                      threads=threads, per_variant_baseline=True, jobs=jobs,
                      store=store)
 
@@ -78,19 +71,12 @@ def run_smt_ablation(graphs=None, threads=None, jobs=None,
 def run_cache_ablation(graphs=None, threads=None, jobs=None,
                        store=None) -> PanelResult:
     """Shuffled coloring with and without the aggregate-cache benefit."""
-    graphs = graphs or ["hood", "msdoor"]
-    no_agg = KNF.with_(name="KNF-noAggCache",
-                       remote_hit_cycles=KNF.dram_cycles)
-
-    def runner(g, variant, t):
-        config = KNF if variant == "with chip cache" else no_agg
-        return coloring_cycles(g, "OpenMP-dynamic", t, ordering="random",
-                               config=config)
-
+    panel = {"with chip cache": _coloring("KNF", "random"),
+             "without chip cache": _coloring("KNF-noAggCache", "random")}
     return run_panel(
         "Ablation: aggregate-cache residency (coloring, shuffled)",
-        runner, ["with chip cache", "without chip cache"], graphs=graphs,
-        threads=threads, per_variant_baseline=True, jobs=jobs, store=store)
+        panel, graphs=graphs or ["hood", "msdoor"], threads=threads,
+        per_variant_baseline=True, jobs=jobs, store=store)
 
 
 def run_bandwidth_ablation(graphs=None, threads=None, jobs=None,
@@ -102,19 +88,10 @@ def run_bandwidth_ablation(graphs=None, threads=None, jobs=None,
     traffic — remote hits consume no channel bandwidth — which is exactly
     why the real prototype's memory subsystem "scales well").
     """
-    graphs = graphs or ["hood"]
-
-    def runner(g, variant, t):
-        banks = int(variant.split("=")[1])
-        config = KNF.with_(name=f"KNF-{banks}banks", mem_banks=banks,
-                           cache_lines_per_core=8,
-                           dram_transfer_cycles=8.0)
-        return coloring_cycles(g, "OpenMP-dynamic", t, ordering="random",
-                               config=config)
-
-    variants = [f"banks={b}" for b in (16, 4, 1)]
+    panel = {f"banks={b}": _coloring(f"KNF-{b}banks", "random")
+             for b in (16, 4, 1)}
     return run_panel("Ablation: DRAM bandwidth (coloring, shuffled)",
-                     runner, variants, graphs=graphs, threads=threads,
+                     panel, graphs=graphs or ["hood"], threads=threads,
                      per_variant_baseline=True, jobs=jobs, store=store)
 
 

@@ -15,11 +15,8 @@ scale.
 
 from __future__ import annotations
 
-from repro.experiments.harness import PanelResult, run_panel, scale_of
-from repro.graph.suite import suite_graph
-from repro.kernels.coloring.parallel import parallel_coloring
-from repro.machine.config import KNF
-from repro.runtime.base import ProgrammingModel, RuntimeSpec, Schedule
+from repro.experiments.harness import PanelResult, run_panel
+from repro.runtime.base import Schedule
 
 __all__ = ["run_chunk_sweep", "CHUNK_SIZES"]
 
@@ -31,18 +28,11 @@ def run_chunk_sweep(schedule: Schedule = Schedule.DYNAMIC,
                     graphs=None, threads=None, jobs=None,
                     store=None) -> PanelResult:
     """Colouring speedup as a function of OpenMP chunk size."""
-    graphs = graphs or ["hood", "msdoor"]
-
-    def runner(g, variant, t):
-        chunk = int(variant.split("=")[1])
-        spec = RuntimeSpec(ProgrammingModel.OPENMP, schedule=schedule,
-                           chunk=chunk)
-        run = parallel_coloring(suite_graph(g), t, spec, KNF,
-                                cache_scale=scale_of(g), seed=1)
-        return run.total_cycles
-
-    variants = [f"chunk={c}" for c in CHUNK_SIZES]
+    panel = {f"chunk={c}": {"experiment": "coloring",
+                            "variant": f"OpenMP-{schedule.value}", "seed": 1,
+                            "params": {"ordering": "natural", "chunk": c}}
+             for c in CHUNK_SIZES}
     return run_panel(
         f"Chunk-size sweep: coloring, OpenMP {schedule.value}",
-        runner, variants, graphs=graphs, threads=threads, jobs=jobs,
-        store=store)
+        panel, graphs=graphs or ["hood", "msdoor"], threads=threads,
+        jobs=jobs, store=store)

@@ -12,6 +12,8 @@ peaking ~32; TBB simple clearly best, peaking ~45 around 101 threads.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.experiments.harness import PanelResult, run_panel, scale_of, \
     ordered_suite_graph
 from repro.machine.config import KNF
@@ -56,12 +58,17 @@ _PANELS = {
 
 def coloring_cycles(graph_name: str, variant: str, n_threads: int,
                     ordering: str = "natural", config=KNF,
-                    seed: int = 0) -> float:
-    """Simulated cycles of one colouring run (panel runner)."""
+                    seed: int = 0, chunk: int | None = None) -> float:
+    """Simulated cycles of one colouring run (``coloring`` cell runner).
+
+    *chunk* overrides the variant's tuned chunk size.
+    """
+    spec = COLORING_VARIANTS[variant]
+    if chunk is not None:
+        spec = replace(spec, chunk=chunk)
     graph = ordered_suite_graph(graph_name, ordering)
-    run = parallel_coloring(graph, n_threads, COLORING_VARIANTS[variant],
-                            config=config, cache_scale=scale_of(graph_name),
-                            seed=seed)
+    run = parallel_coloring(graph, n_threads, spec, config=config,
+                            cache_scale=scale_of(graph_name), seed=seed)
     return run.total_cycles
 
 
@@ -74,9 +81,11 @@ def run_fig1(graphs=None, threads=None, jobs=None,
     1 thread for that graph" (§V-A), which in practice is an OpenMP run.
     ``jobs``/``store`` reach the campaign executor via ``run_panel``.
     """
-    combined = run_panel("fig1", coloring_cycles, list(COLORING_VARIANTS),
-                         graphs=graphs, threads=threads, jobs=jobs,
-                         store=store)
+    panel = {v: {"experiment": "coloring", "variant": v,
+                 "params": {"ordering": "natural"}}
+             for v in COLORING_VARIANTS}
+    combined = run_panel("fig1", panel, graphs=graphs, threads=threads,
+                         jobs=jobs, store=store)
     out = {}
     for title, variants in _PANELS.items():
         panel = PanelResult(title=title,

@@ -9,9 +9,7 @@ aggregate cache turns DRAM misses into ring transactions.
 
 from __future__ import annotations
 
-from functools import partial
-
-from repro.experiments.fig1_coloring import BEST_PER_MODEL, coloring_cycles
+from repro.experiments.fig1_coloring import BEST_PER_MODEL
 from repro.experiments.harness import PanelResult, run_panel
 
 __all__ = ["run_fig2", "PAPER_FIG2_AT_121"]
@@ -23,7 +21,8 @@ PAPER_FIG2_AT_121 = {"OpenMP-dynamic": 153.0, "TBB-simple": 121.0,
 
 def run_fig2(graphs=None, threads=None, jobs=None, store=None) -> PanelResult:
     """Regenerate Figure 2 (best variant of each model, shuffled IDs)."""
-    runner = partial(coloring_cycles, ordering="random")
+    panel = {v: {"experiment": "coloring", "variant": v,
+                 "params": {"ordering": "random"}} for v in BEST_PER_MODEL}
     return run_panel("Fig 2: coloring speedup, randomly ordered graphs",
-                     runner, list(BEST_PER_MODEL),
-                     graphs=graphs, threads=threads, jobs=jobs, store=store)
+                     panel, graphs=graphs, threads=threads, jobs=jobs,
+                     store=store)

@@ -11,9 +11,7 @@ run of the same iteration count.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.experiments.harness import PanelResult, scale_of
+from repro.experiments.harness import PanelResult, run_panel, scale_of
 from repro.graph.suite import suite_graph
 from repro.kernels.irregular import simulate_irregular
 from repro.machine.config import KNF
@@ -37,21 +35,14 @@ IRREGULAR_MODELS: dict[str, RuntimeSpec] = {
 ITERATION_COUNTS = [1, 3, 5, 10]
 
 
-def irregular_cycles(graph_name: str, variant: str, n_threads: int,
-                     model: str = "OpenMP", config=KNF, seed: int = 0) -> float:
-    """Panel runner; *variant* is the iteration count rendered as a label."""
-    iterations = int(variant.split()[0])
+def irregular_cycles(graph_name: str, model: str, n_threads: int,
+                     iterations: int = 1, config=KNF, seed: int = 0) -> float:
+    """Simulated cycles of one irregular run (``irregular`` cell runner)."""
     run = simulate_irregular(suite_graph(graph_name), n_threads,
                              iterations=iterations,
                              spec=IRREGULAR_MODELS[model], config=config,
                              cache_scale=scale_of(graph_name), seed=seed)
     return run.total_cycles
-
-
-def _fig3_cell(key) -> float:
-    """Executor cell adapter: ``(model, graph, iterations, threads)``."""
-    model, g, it, t = key
-    return irregular_cycles(g, f"{it} x", t, model=model)
 
 
 def run_fig3(graphs=None, threads=None, jobs=None,
@@ -61,51 +52,27 @@ def run_fig3(graphs=None, threads=None, jobs=None,
     Speedups are "computed relatively to the same number of iterations"
     (§V-C): for each (graph, iteration count) the baseline is the fastest
     1-thread run across the three models, shared by all three panels.
-    Cells go through the campaign executor like every ``run_panel``
-    figure — ``jobs``/``store`` (or ``REPRO_JOBS``/``REPRO_STORE``)
-    parallelise and cache the 4-axis sweep.
+    So each iteration count is one ``run_panel`` sweep with the models as
+    series, regrouped into one panel per model with the iteration counts
+    as series.  A failed cell raises (``on_error="raise"``).
     """
-    from repro._util import env_bool
-    from repro.campaign.executor import execute
-    from repro.experiments.harness import (geomean, panel_graphs,
-                                           panel_store, panel_threads)
-
-    graphs = graphs if graphs is not None else panel_graphs()
-    threads = threads if threads is not None else panel_threads()
-    if 1 not in threads:
-        threads = [1] + list(threads)
-
-    keys = [(model, g, it, t) for model in IRREGULAR_MODELS for g in graphs
-            for it in ITERATION_COUNTS for t in threads]
-    report = execute(
-        _fig3_cell, keys, jobs=jobs, on_error="raise",
-        store=panel_store(store),
-        spec_for=lambda k: {"panel": "fig3", "model": k[0], "graph": k[1],
-                            "iterations": k[2], "threads": k[3]},
-        labels_for=lambda k: {"graph": k[1], "variant": f"{k[0]}-{k[2]}it",
-                              "threads": k[3]},
-        progress=env_bool("REPRO_PROGRESS"),
-        desc="cells (fig3)")
-    if report.interrupted:
-        raise KeyboardInterrupt
-    cycles = report.values
-    baseline = {(g, it): min(cycles[(m, g, it, 1)] for m in IRREGULAR_MODELS)
-                for g in graphs for it in ITERATION_COUNTS}
-
+    sweeps = {
+        it: run_panel(f"fig3 ({it} iterations)",
+                      {m: {"experiment": "irregular", "variant": m,
+                           "params": {"iterations": it}}
+                       for m in IRREGULAR_MODELS},
+                      graphs=graphs, threads=threads, on_error="raise",
+                      jobs=jobs, store=store)
+        for it in ITERATION_COUNTS}
     out = {}
     for model in IRREGULAR_MODELS:
         title = f"Fig 3: irregular computation speedup, {model}"
-        panel = PanelResult(title=title, thread_counts=list(threads))
-        for it in ITERATION_COUNTS:
+        panel = PanelResult(title=title, thread_counts=sweeps[
+            ITERATION_COUNTS[0]].thread_counts)
+        for it, sweep in sweeps.items():
             label = f"{it} iteration{'s' if it > 1 else ''}"
-            per_graph = []
-            for g in graphs:
-                s = np.asarray([baseline[(g, it)] / cycles[(model, g, it, t)]
-                                for t in threads])
-                panel.per_graph[(label, g)] = s
-                per_graph.append(s)
-            stacked = np.stack(per_graph)
-            panel.series[label] = np.asarray(
-                [geomean(stacked[:, i]) for i in range(len(threads))])
+            panel.series[label] = sweep.series[model]
+            panel.per_graph.update({(label, g): s for (m, g), s
+                                    in sweep.per_graph.items() if m == model})
         out[title] = panel
     return out

@@ -19,7 +19,7 @@ configuration per graph within the panel.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.experiments.harness import (PanelResult, geomean, panel_graphs,
 from repro.graph.suite import suite_graph
 from repro.kernels.bfs.layered import simulate_bfs
 from repro.kernels.bfs.sequential import frontier_profile
-from repro.machine.config import HOST_XEON, KNF, MachineConfig
+from repro.machine.config import KNF, MACHINES, MachineConfig
 from repro.models.bfs_model import bfs_model_speedup
 
 __all__ = ["BLOCK_SIZE", "bfs_cycles", "model_series", "run_fig4",
@@ -52,7 +52,7 @@ _BFS_VARIANTS = {
 def bfs_cycles(graph_name: str, variant: str, n_threads: int,
                config: MachineConfig = KNF, block: int = BLOCK_SIZE,
                seed: int = 0) -> float:
-    """Simulated cycles of one BFS run (panel runner)."""
+    """Simulated cycles of one BFS run (``bfs`` cell runner)."""
     kind, relaxed = _BFS_VARIANTS[variant]
     run = simulate_bfs(suite_graph(graph_name), n_threads, variant=kind,
                        relaxed=relaxed, block=block, config=config,
@@ -78,18 +78,24 @@ def model_series(graphs: list[str], threads: list[int],
     return np.asarray([geomean(stacked[:, i]) for i in range(len(threads))])
 
 
-def run_fig4_panel(title: str, variants: list[str],
-                   graphs: list[str], config: MachineConfig,
-                   threads: list[int] | None = None,
+def run_fig4_panel(title: str, variants: list[str], graphs: list[str],
+                   machine: str = "KNF", threads: list[int] | None = None,
                    block: int = BLOCK_SIZE, jobs=None,
                    store=None) -> PanelResult:
-    """One Figure 4 panel, with the analytic model as an extra series."""
+    """One Figure 4 panel on a named machine, with the analytic model as
+    an extra series."""
     threads = threads if threads is not None else \
-        panel_threads(host=config is HOST_XEON)
-    threads = [t for t in threads if t <= config.max_threads]
-    runner = partial(bfs_cycles, config=config, block=block)
-    panel = run_panel(title, runner, variants, graphs=graphs, threads=threads,
-                      jobs=jobs, store=store)
+        panel_threads(host=machine == "HOST_XEON")
+    # Figure 4 plots each machine up to its own hardware contexts: an
+    # explicit ``REPRO_THREADS`` list serves the KNF and host panels
+    # alike, so counts a machine lacks are left off its panel rather
+    # than failing it.
+    threads = [t for t in threads if t <= MACHINES[machine].max_threads]
+    params = {} if block == BLOCK_SIZE else {"block": block}
+    panel = run_panel(title, {v: {"experiment": "bfs", "variant": v,
+                                  "machine": machine, "params": params}
+                              for v in variants},
+                      graphs=graphs, threads=threads, jobs=jobs, store=store)
     panel.series = {"Model": model_series(graphs, panel.thread_counts, block),
                     **panel.series}
     return panel
@@ -99,22 +105,20 @@ def run_fig4(graphs=None, threads=None, jobs=None,
              store=None) -> dict[str, PanelResult]:
     """Regenerate all four Figure 4 panels."""
     graphs = graphs if graphs is not None else panel_graphs()
-    out = {}
-    out["Fig 4(a): BFS speedup, pwtk on Intel MIC"] = run_fig4_panel(
-        "Fig 4(a): BFS speedup, pwtk on Intel MIC",
-        ["OpenMP-Block-relaxed", "OpenMP-Block"], ["pwtk"], KNF,
-        threads=threads, jobs=jobs, store=store)
-    out["Fig 4(b): BFS speedup, inline_1 on Intel MIC"] = run_fig4_panel(
-        "Fig 4(b): BFS speedup, inline_1 on Intel MIC",
-        ["OpenMP-Block-relaxed", "OpenMP-Block"], ["inline_1"], KNF,
-        threads=threads, jobs=jobs, store=store)
-    out["Fig 4(c): BFS speedup, all graphs on Intel MIC"] = run_fig4_panel(
-        "Fig 4(c): BFS speedup, all graphs on Intel MIC",
-        ["OpenMP-Block-relaxed", "TBB-Block-relaxed", "CilkPlus-Bag-relaxed"],
-        graphs, KNF, threads=threads, jobs=jobs, store=store)
-    out["Fig 4(d): BFS speedup, all graphs on host CPU"] = run_fig4_panel(
-        "Fig 4(d): BFS speedup, all graphs on host CPU",
-        ["OpenMP-Block-relaxed", "TBB-Block-relaxed", "OpenMP-TLS",
-         "CilkPlus-Bag-relaxed"],
-        graphs, HOST_XEON, jobs=jobs, store=store)
-    return out
+    block = ["OpenMP-Block-relaxed", "OpenMP-Block"]
+    panels = [
+        ("Fig 4(a): BFS speedup, pwtk on Intel MIC", block, ["pwtk"], "KNF"),
+        ("Fig 4(b): BFS speedup, inline_1 on Intel MIC", block, ["inline_1"],
+         "KNF"),
+        ("Fig 4(c): BFS speedup, all graphs on Intel MIC",
+         ["OpenMP-Block-relaxed", "TBB-Block-relaxed",
+          "CilkPlus-Bag-relaxed"], graphs, "KNF"),
+        ("Fig 4(d): BFS speedup, all graphs on host CPU",
+         ["OpenMP-Block-relaxed", "TBB-Block-relaxed", "OpenMP-TLS",
+          "CilkPlus-Bag-relaxed"], graphs, "HOST_XEON"),
+    ]
+    # The host panel always sweeps the host's own thread counts.
+    return {title: run_fig4_panel(
+        title, variants, on, machine,
+        threads=None if machine == "HOST_XEON" else threads, jobs=jobs,
+        store=store) for title, variants, on, machine in panels}

@@ -117,14 +117,15 @@ def _run_cycles(kernel: str, graph_name: str, variant: str, faults) -> float:
 
 def faulted_coloring_cycles(graph_name: str, variant: str,
                             intensity_pct: int) -> float:
-    """Panel runner: colouring cycles under *intensity_pct* % faults."""
+    """``coloring-faults`` cell runner: cycles under *intensity_pct* %
+    faults."""
     faults = _injector("coloring", graph_name, variant, intensity_pct)
     return _run_cycles("coloring", graph_name, variant, faults)
 
 
 def faulted_bfs_cycles(graph_name: str, variant: str,
                        intensity_pct: int) -> float:
-    """Panel runner: BFS cycles under *intensity_pct* % faults."""
+    """``bfs-faults`` cell runner: cycles under *intensity_pct* % faults."""
     faults = _injector("bfs", graph_name, variant, intensity_pct)
     return _run_cycles("bfs", graph_name, variant, faults)
 
@@ -136,21 +137,22 @@ def run_fig_faults(graphs=None, intensities=None, jobs=None,
     Series values are healthy-over-faulted cycle ratios (geomean over
     graphs); the x axis is fault intensity in percent.  Identical
     ``REPRO_FAULT_SEED`` values regenerate bit-identical fault schedules
-    and therefore identical panels (the panel title carries the seed, so
-    store entries from different scenarios never collide).
+    and therefore identical panels (the seed is the cells' campaign
+    seed, so store entries from different scenarios never collide).
     """
-    graphs = graphs if graphs is not None else panel_graphs()
     intensities = intensities if intensities is not None else _intensities()
+    seed = fault_seed()
     out = {}
-    for kernel, runner in (("coloring", faulted_coloring_cycles),
-                           ("bfs", faulted_bfs_cycles)):
+    for kernel in ("coloring", "bfs"):
         title = (f"Faults: {kernel} degradation vs intensity % "
-                 f"({FAULT_THREADS} threads, seed {fault_seed()})")
-        panel = run_panel(title, runner, list(FAULT_RUNTIMES), graphs=graphs,
-                          threads=list(intensities),
-                          per_variant_baseline=True, baseline_point=0,
-                          jobs=jobs, store=store)
-        out[kernel] = panel
+                 f"({FAULT_THREADS} threads, seed {seed})")
+        panel = {v: {"experiment": f"{kernel}-faults", "variant": v,
+                     "axis": "intensity", "seed": seed}
+                 for v in FAULT_RUNTIMES}
+        out[kernel] = run_panel(title, panel, graphs=graphs,
+                                threads=list(intensities),
+                                per_variant_baseline=True, baseline_point=0,
+                                jobs=jobs, store=store)
     return out
 
 

@@ -18,14 +18,22 @@ processes for the campaign executor (default 1 = serial in-process);
 ``REPRO_STORE`` — root of the content-addressed result store (unset = no
 caching).
 
+A panel maps each series label to the
+:class:`~repro.campaign.spec.CellSpec` fields other than graph and
+threads; :func:`run_panel` expands it over graphs × threads and runs the
+cells through :func:`repro.campaign.runners.run_cell`, the runner every
+campaign uses, so a figure cell and a campaign cell with the same
+coordinates are one cell with one ID.
+
 Resilience: :func:`run_panel` retries failing cells a bounded number of
 times and records survivors as NaN instead of discarding the sweep
 (``PanelResult.failures`` holds the error per cell).  The result store
 is the resume path: with ``REPRO_STORE`` set, every finished cell is
-content-addressed by (panel title, graph, variant, threads) + code
-fingerprint, so a re-run of a crashed or interrupted 121-thread ×
-10-graph panel serves finished cells as cache hits and recomputes only
-the failed or unfinished ones.
+content-addressed by its ``CellSpec`` + code fingerprint — the key
+``repro campaign run`` uses — so a re-run of a crashed or interrupted
+121-thread × 10-graph panel serves finished cells as cache hits and
+recomputes only the failed or unfinished ones, and figures, ablations
+and campaigns serve each other's cells.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from repro.graph.suite import SUITE, suite_graph, suite_scale
 __all__ = ["THREADS_MIC", "THREADS_HOST", "PanelResult", "run_panel",
            "panel_graphs", "panel_threads", "ordered_suite_graph", "geomean",
            "env_csv", "fast_mode", "parse_thread_counts",
-           "parse_graph_names", "panel_store"]
+           "parse_graph_names"]
 
 #: The paper's MIC thread sweep: "1 to 121 by increment of 10" (§V-B).
 THREADS_MIC = [1] + list(range(11, 122, 10))
@@ -177,28 +185,9 @@ class PanelResult:
         return float(self.series[label][self.thread_counts.index(n_threads)])
 
 
-def panel_store(store=None):
-    """Resolve a result-store argument to a live store (or None).
-
-    Accepts an already-built :class:`~repro.campaign.store.ResultStore`,
-    a root path, or None — in which case the ``REPRO_STORE`` env var
-    decides (unset = caching off, the serial in-process default).
-    """
-    if store is None:
-        root = env_str("REPRO_STORE")
-        if not root:
-            return None
-        store = root
-    if isinstance(store, (str, os.PathLike)):
-        from repro.campaign.store import ResultStore
-        return ResultStore(store)
-    return store
-
-
 def run_panel(
     title: str,
-    runner: Callable[[str, str, int], float],
-    variants: list[str],
+    panel: dict[str, dict],
     graphs: list[str] | None = None,
     threads: list[int] | None = None,
     baseline_variants: list[str] | None = None,
@@ -209,33 +198,41 @@ def run_panel(
     jobs: int | None = None,
     store=None,
 ) -> PanelResult:
-    """Sweep ``runner(graph, variant, threads) -> cycles`` over a panel.
+    """Sweep a panel of cells over graphs × threads.
+
+    *panel* maps each series label to the
+    :class:`~repro.campaign.spec.CellSpec` fields other than ``graph`` and
+    ``threads`` (``experiment``, ``variant`` and optionally ``machine``,
+    ``params``, ``seed``, ``axis``); every point of the sweep is one cell
+    run by :func:`repro.campaign.runners.run_cell`.  On the ``threads``
+    axis a thread count above every series machine's hardware contexts
+    raises :class:`ValueError` (as campaign validation does); one above
+    only some series' machines runs those series at their maximum (the
+    SMT ablation's 1-way series past 31).
 
     The per-graph baseline is the fastest ``baseline_point``-thread cycles
-    over ``baseline_variants`` (default: all *variants*), per the paper's
+    over ``baseline_variants`` (default: every series), per the paper's
     methodology; the panel series are geometric means over graphs.  With
-    ``per_variant_baseline`` each variant is normalised by its own
-    ``baseline_point`` run instead (Figure 3 compares iteration counts
-    this way: "the speedup are computed relatively to the same number of
-    iterations").  ``baseline_point`` defaults to 1 (the 1-thread run);
-    the fault experiments sweep fault intensity on this axis and baseline
-    at intensity 0.
+    ``per_variant_baseline`` each series is normalised by its own
+    ``baseline_point`` run instead (the ablations compare machines this
+    way).  ``baseline_point`` defaults to 1 (the 1-thread run); the fault
+    experiments sweep fault intensity on this axis and baseline at
+    intensity 0.
 
-    Execution goes through the campaign executor
-    (:func:`repro.campaign.executor.execute`):
+    Execution is one :func:`repro.campaign.executor.execute_cells` call,
+    the executor call ``repro campaign run`` makes:
 
     * ``jobs`` (default: ``REPRO_JOBS`` env var, else 1) computes cells
       on a fork-based process pool — every cell is a pure function of
-      its coordinates, so ``jobs=4`` output is bitwise identical to the
-      serial run; ``0`` means one worker per CPU;
-    * ``store`` (default: ``REPRO_STORE`` env var, else off) caches each
-      finished cell content-addressed by (panel title, graph, variant,
-      threads) + code fingerprint, so repeated sweeps across figures,
-      ablations and CI recompute nothing, and a crashed or interrupted
-      sweep re-run with the same store resumes where it stopped (NaN
-      cells are never stored, so failed cells are recomputed).  Callers
-      that vary hidden runner parameters under one title must keep the
-      store off.
+      its spec, so ``jobs=4`` output is bitwise identical to the serial
+      run; ``0`` means one worker per CPU;
+    * ``store`` (a :class:`~repro.campaign.store.ResultStore` or its
+      root; default: ``REPRO_STORE`` env var, else off) caches each
+      finished cell under its ``CellSpec`` + code fingerprint, so
+      repeated sweeps across figures, ablations, campaigns and CI
+      recompute nothing, and a crashed or interrupted sweep re-run with
+      the same store resumes where it stopped (NaN cells are never
+      stored, so failed cells are recomputed).
 
     Resilience (partial-result semantics):
 
@@ -245,33 +242,50 @@ def run_panel(
       kept in ``PanelResult.failures``, leaving every other cell intact;
       ``on_error="raise"`` restores fail-fast behaviour.
     """
-    from repro.campaign.executor import execute
+    from repro.campaign.executor import execute_cells
+    from repro.campaign.spec import CellSpec
+    from repro.campaign.store import ResultStore
+    from repro.machine.config import MACHINES
 
     graphs = graphs if graphs is not None else panel_graphs()
     threads = threads if threads is not None else panel_threads()
+    variants = list(panel)
     baseline_variants = baseline_variants or variants
     if baseline_point not in threads:
         threads = [baseline_point] + list(threads)
     if retries is None:
         retries = env_int("REPRO_RETRIES", 1, lo=0)
-    store = panel_store(store)
+    if store is None:
+        store = env_str("REPRO_STORE") or None
+    if isinstance(store, (str, os.PathLike)):
+        store = ResultStore(store)
 
-    cells = [(g, v, t) for g in graphs for v in variants for t in threads]
-    report = execute(
-        lambda key: runner(*key), cells, jobs=jobs, retries=retries,
+    machines = {v: MACHINES[f.get("machine", "KNF")]
+                for v, f in panel.items()
+                if f.get("axis", "threads") == "threads"}
+    if machines:
+        max(machines.values(), key=lambda m: m.max_threads).check_threads(
+            max(threads))
+
+    def cell(v: str, graph: str, t: int) -> CellSpec:
+        if v in machines:
+            t = min(t, machines[v].max_threads)
+        return CellSpec.from_dict({**panel[v], "graph": graph, "threads": t})
+
+    cells = {(g, v, t): cell(v, g, t)
+             for g in graphs for v in variants for t in threads}
+    report = execute_cells(
+        list(dict.fromkeys(cells.values())), jobs=jobs, retries=retries,
         on_error=on_error, store=store,
-        spec_for=lambda key: {"panel": title, "graph": key[0],
-                              "variant": key[1], "threads": key[2]},
-        labels_for=lambda key: {"graph": key[0], "variant": key[1],
-                                "threads": key[2]},
         progress=env_bool("REPRO_PROGRESS"), desc=f"cells ({title})")
-    cycles = report.values
-    failures = dict(report.errors)
     if report.interrupted:
         raise KeyboardInterrupt  # completed cells live in the store
+    cycles = {key: report.values[c] for key, c in cells.items()}
+    failures = {key: report.errors[c] for key, c in cells.items()
+                if c in report.errors}
 
     result = PanelResult(title=title, thread_counts=list(threads),
-                         failures=dict(failures))
+                         failures=failures)
     for g in graphs:
         bases = [cycles[(g, v, baseline_point)] for v in baseline_variants]
         bases = [b for b in bases if math.isfinite(b)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["MachineConfig", "KNF", "HOST_XEON"]
+__all__ = ["MachineConfig", "KNF", "HOST_XEON", "MACHINES"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,13 @@ class MachineConfig:
     def max_threads(self) -> int:
         """Hardware thread count (cores × SMT ways)."""
         return self.n_cores * self.smt_per_core
+
+    def check_threads(self, n_threads: int) -> None:
+        """Raise :class:`ValueError` if *n_threads* exceed the contexts."""
+        if n_threads > self.max_threads:
+            raise ValueError(
+                f"{n_threads} threads exceed {self.name}'s "
+                f"{self.max_threads} hardware contexts")
 
     @property
     def aggregate_cache_lines(self) -> int:
@@ -138,3 +145,16 @@ HOST_XEON = MachineConfig(
     sched_chunk_cycles=8.0,
     tls_init_cycles_per_entry=0.5,
 )
+
+#: Every machine a campaign cell or figure panel can name: the paper's two
+#: machines and the ablations' KNF variants — no SMT (one context per
+#: core), no aggregate-cache benefit (remote hits priced as DRAM), and
+#: near-cacheless cores on 16, 4 or 1 DRAM banks.
+MACHINES: dict[str, MachineConfig] = {config.name: config for config in (
+    KNF, HOST_XEON,
+    KNF.with_(name="KNF-noSMT", smt_per_core=1),
+    KNF.with_(name="KNF-noAggCache", remote_hit_cycles=KNF.dram_cycles),
+    *(KNF.with_(name=f"KNF-{banks}banks", mem_banks=banks,
+                cache_lines_per_core=8, dram_transfer_cycles=8.0)
+      for banks in (16, 4, 1)),
+)}

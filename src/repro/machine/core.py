@@ -57,10 +57,7 @@ class Chip:
     def __init__(self, config: MachineConfig, n_threads: int, faults=None):
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-        if n_threads > config.max_threads:
-            raise ValueError(
-                f"{n_threads} threads exceed {config.name}'s "
-                f"{config.max_threads} hardware contexts")
+        config.check_threads(n_threads)
         self.config = config
         self.n_threads = n_threads
         self.faults = faults  # optional repro.sim.faults.FaultInjector

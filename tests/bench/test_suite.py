@@ -72,6 +72,13 @@ class TestRunSuite:
             assert stats["median_s"] == 1.0  # FakeClock: one step per run
             assert stats["repeat"] == 2
 
+    def test_kernels_suite_runs_every_kernel(self):
+        # Runs each kernel benchmark once, so a changed kernel signature
+        # breaks here rather than in ``repro bench``.
+        entry = run_suite("kernels", repeat=1, warmup=0, clock=FakeClock(),
+                          stamp=lambda: 0.0)
+        assert set(entry["results"]) == {"coloring", "bfs", "irregular"}
+
     def test_progress_callback_fires_per_benchmark(self):
         lines = []
         run_suite("campaign", repeat=1, warmup=0, clock=FakeClock(),

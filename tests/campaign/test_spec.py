@@ -159,6 +159,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="machine"):
             make_spec(machine="KNC")
 
+    def test_threads_beyond_the_machine(self):
+        with pytest.raises(ValueError,
+                           match="121 threads exceed HOST_XEON's 24"):
+            make_spec(experiment="bfs", machine="HOST_XEON",
+                      variants=["OpenMP-TLS"], threads=[1, 121], params={})
+        make_spec(experiment="bfs", machine="HOST_XEON",
+                  variants=["OpenMP-TLS"], threads=[1, 24], params={})
+        with pytest.raises(ValueError, match="KNF-noSMT's 31"):
+            make_spec(machine="KNF-noSMT", threads=[32])
+        make_spec(machine="KNF-noSMT", threads=[31])
+
+    def test_campaign_run_rejects_threads_beyond_the_machine(
+            self, tmp_path, capsys):
+        import json
+        from repro.campaign.cli import main
+        spec = {"name": "too-wide", "experiment": "bfs", "graphs": ["auto"],
+                "variants": ["OpenMP-TLS"], "threads": [121],
+                "machine": "HOST_XEON"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        store = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store), "--quiet"]) == 2
+        assert "hardware contexts" in capsys.readouterr().err
+        assert not list(store.glob("objects/*/*.json"))
+
     def test_bad_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
             make_spec(seeds=[-1])

@@ -21,10 +21,9 @@ def fig1():
 @pytest.fixture(scope="module")
 def fig4():
     from repro.experiments.fig4_bfs import run_fig4_panel
-    from repro.machine.config import KNF
     return run_fig4_panel(
         "test", ["OpenMP-Block-relaxed", "OpenMP-Block", "CilkPlus-Bag-relaxed"],
-        GRAPHS, KNF, threads=THREADS)
+        GRAPHS, "KNF", threads=THREADS)
 
 
 class TestTable1:
@@ -125,10 +124,9 @@ class TestFig4Shapes:
 
     def test_pwtk_below_inline(self):
         from repro.experiments.fig4_bfs import run_fig4_panel
-        from repro.machine.config import KNF
-        a = run_fig4_panel("a", ["OpenMP-Block-relaxed"], ["pwtk"], KNF,
+        a = run_fig4_panel("a", ["OpenMP-Block-relaxed"], ["pwtk"], "KNF",
                            threads=[1, 31])
-        b = run_fig4_panel("b", ["OpenMP-Block-relaxed"], ["inline_1"], KNF,
-                           threads=[1, 31])
+        b = run_fig4_panel("b", ["OpenMP-Block-relaxed"], ["inline_1"],
+                           "KNF", threads=[1, 31])
         assert b.at("OpenMP-Block-relaxed", 31) > \
             1.5 * a.at("OpenMP-Block-relaxed", 31)

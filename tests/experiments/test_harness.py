@@ -1,10 +1,33 @@
-"""Experiment harness: sweeps, baselines, aggregation."""
+"""Experiment harness: sweeps, baselines, aggregation.
+
+Panels sweep cells of a fake ``fake`` experiment, registered on the
+campaign runner registry for one test: its cell runner calls a plain
+``runner(graph, variant, threads) -> cycles`` function, so every test
+drives the real path — ``run_panel`` → the campaign executor →
+``run_cell`` → registry.
+"""
 
 import numpy as np
 import pytest
 
+from repro.campaign import runners
+from repro.campaign.spec import CellSpec
 from repro.experiments.harness import (PanelResult, geomean, panel_graphs,
                                        panel_threads, run_panel)
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    """``sweep(runner, variants, title="p", **run_panel_kwargs)``: one
+    panel whose series are ``fake`` cells computed by *runner*."""
+    def run(runner, variants, title="p", machine="KNF", **kw):
+        monkeypatch.setitem(runners._REGISTRY, "fake", (
+            lambda cell: runner(cell.graph, cell.variant, cell.threads),
+            None))
+        panel = {v: {"experiment": "fake", "variant": v, "machine": machine}
+                 for v in variants}
+        return run_panel(title, panel, **kw)
+    return run
 
 
 class TestGeomean:
@@ -54,37 +77,72 @@ class TestRunPanel:
         base *= 2.0 if graph == "g2" else 1.0
         return base / t + 10.0
 
-    def test_shared_baseline_is_fastest_t1(self):
-        panel = run_panel("p", self.runner, ["fast", "slow"],
+    def test_shared_baseline_is_fastest_t1(self, sweep):
+        panel = sweep(self.runner, ["fast", "slow"],
                           graphs=["g1", "g2"], threads=[1, 10])
         assert panel.baselines["g1"] == pytest.approx(1010.0)
         assert panel.baselines["g2"] == pytest.approx(2010.0)
         # slow variant never exceeds fast's curve under shared baseline
         assert np.all(panel.series["slow"] <= panel.series["fast"])
 
-    def test_per_variant_baseline(self):
-        panel = run_panel("p", self.runner, ["fast", "slow"],
+    def test_per_variant_baseline(self, sweep):
+        panel = sweep(self.runner, ["fast", "slow"],
                           graphs=["g1"], threads=[1, 10],
                           per_variant_baseline=True)
         # each variant normalised by itself: both start at exactly 1.0
         assert panel.series["fast"][0] == pytest.approx(1.0)
         assert panel.series["slow"][0] == pytest.approx(1.0)
 
-    def test_thread_one_always_included(self):
-        panel = run_panel("p", self.runner, ["fast"], graphs=["g1"],
+    def test_thread_one_always_included(self, sweep):
+        panel = sweep(self.runner, ["fast"], graphs=["g1"],
                           threads=[10, 20])
         assert panel.thread_counts[0] == 1
 
-    def test_geomean_across_graphs(self):
-        panel = run_panel("p", self.runner, ["fast"],
+    def test_geomean_across_graphs(self, sweep):
+        panel = sweep(self.runner, ["fast"],
                           graphs=["g1", "g2"], threads=[1, 10])
         s1 = panel.per_graph[("fast", "g1")]
         s2 = panel.per_graph[("fast", "g2")]
         expected = np.sqrt(s1 * s2)
         assert np.allclose(panel.series["fast"], expected)
 
-    def test_best_and_at(self):
-        panel = run_panel("p", self.runner, ["fast"], graphs=["g1"],
+    def test_threads_beyond_one_machine_run_at_its_maximum(
+            self, monkeypatch):
+        calls = []
+
+        def runner(cell):
+            calls.append((cell.machine, cell.threads))
+            return 1000.0 / cell.threads
+
+        monkeypatch.setitem(runners._REGISTRY, "fake", (runner, None))
+        panel = run_panel("p", {
+            "4-way": {"experiment": "fake", "variant": "A"},
+            "1-way": {"experiment": "fake", "variant": "A",
+                      "machine": "KNF-noSMT"}},
+            graphs=["g1"], threads=[1, 31, 61, 121],
+            per_variant_baseline=True)
+        # 61 and 121 are the 1-way machine's 31-thread cell.
+        assert sorted(c for c in calls if c[0] == "KNF-noSMT") \
+            == [("KNF-noSMT", 1), ("KNF-noSMT", 31)]
+        assert panel.thread_counts == [1, 31, 61, 121]
+        assert np.allclose(panel.series["4-way"], [1.0, 31.0, 61.0, 121.0])
+        assert np.allclose(panel.series["1-way"], [1.0, 31.0, 31.0, 31.0])
+
+    def test_threads_beyond_every_machine_raise(self, sweep):
+        calls = []
+
+        def runner(g, v, t):
+            calls.append(t)
+            return 1000.0 / t
+
+        with pytest.raises(ValueError,
+                           match="61 threads exceed KNF-noSMT's 31 hardware"):
+            sweep(runner, ["A"], graphs=["g1"], threads=[1, 31, 61],
+                  machine="KNF-noSMT")
+        assert calls == []  # rejected before any cell runs
+
+    def test_best_and_at(self, sweep):
+        panel = sweep(self.runner, ["fast"], graphs=["g1"],
                           threads=[1, 10, 20])
         t, v = panel.best("fast")
         assert t == 20
@@ -114,11 +172,10 @@ class TestRepeatAverage:
 
 
 class TestPerGraphReport:
-    def test_unfolds_geomean(self):
+    def test_unfolds_geomean(self, sweep):
         from repro.experiments.report import format_panel_per_graph
-        from repro.experiments.harness import run_panel
 
-        panel = run_panel("p", TestRunPanel.runner, ["fast"],
+        panel = sweep(TestRunPanel.runner, ["fast"],
                           graphs=["g1", "g2"], threads=[1, 10])
         out = format_panel_per_graph(panel, "fast")
         assert "g1" in out and "g2" in out
@@ -163,7 +220,7 @@ class TestResilience:
     that cell NaN, retried the configured number of times, and every
     other cell intact."""
 
-    def test_failing_cell_isolated(self):
+    def test_failing_cell_isolated(self, sweep):
         import math
         calls = {}
 
@@ -173,7 +230,7 @@ class TestResilience:
                 raise RuntimeError("injected failure")
             return 1000.0 / t
 
-        panel = run_panel("p", runner, ["A", "B"], graphs=["g1", "g2"],
+        panel = sweep(runner, ["A", "B"], graphs=["g1", "g2"],
                           threads=[1, 10], retries=2)
         assert calls[("g2", "A", 10)] == 3  # initial try + 2 retries
         assert list(panel.failures) == [("g2", "A", 10)]
@@ -186,7 +243,7 @@ class TestResilience:
         # the geomean skips the NaN graph instead of poisoning the series
         assert np.allclose(panel.series["A"], [1.0, 10.0])
 
-    def test_flaky_cell_recovers_within_budget(self):
+    def test_flaky_cell_recovers_within_budget(self, sweep):
         attempts = {"n": 0}
 
         def runner(g, v, t):
@@ -196,29 +253,29 @@ class TestResilience:
                     raise OSError("transient")
             return 100.0 / t
 
-        panel = run_panel("p", runner, ["A"], graphs=["g1"],
+        panel = sweep(runner, ["A"], graphs=["g1"],
                           threads=[1, 10], retries=2)
         assert not panel.failures
         assert panel.series["A"][1] == pytest.approx(10.0)
 
-    def test_on_error_raise_restores_fail_fast(self):
+    def test_on_error_raise_restores_fail_fast(self, sweep):
         def runner(g, v, t):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_panel("p", runner, ["A"], graphs=["g1"], threads=[1],
+            sweep(runner, ["A"], graphs=["g1"], threads=[1],
                       retries=0, on_error="raise")
 
-    def test_invalid_retries_and_on_error(self):
+    def test_invalid_retries_and_on_error(self, sweep):
         runner = TestRunPanel.runner
         with pytest.raises(ValueError, match="retries"):
-            run_panel("p", runner, ["A"], graphs=["g1"], threads=[1],
+            sweep(runner, ["A"], graphs=["g1"], threads=[1],
                       retries=-1)
         with pytest.raises(ValueError, match="on_error"):
-            run_panel("p", runner, ["A"], graphs=["g1"], threads=[1],
+            sweep(runner, ["A"], graphs=["g1"], threads=[1],
                       on_error="explode")
 
-    def test_retries_default_from_env(self, monkeypatch):
+    def test_retries_default_from_env(self, monkeypatch, sweep):
         monkeypatch.setenv("REPRO_RETRIES", "4")
         calls = {"n": 0}
 
@@ -226,10 +283,10 @@ class TestResilience:
             calls["n"] += 1
             raise RuntimeError("always")
 
-        run_panel("p", runner, ["A"], graphs=["g1"], threads=[1])
+        sweep(runner, ["A"], graphs=["g1"], threads=[1])
         assert calls["n"] == 5
 
-    def test_all_baselines_failed_gives_nan_baseline(self):
+    def test_all_baselines_failed_gives_nan_baseline(self, sweep):
         import math
 
         def runner(g, v, t):
@@ -237,17 +294,17 @@ class TestResilience:
                 raise RuntimeError("no baseline")
             return 10.0
 
-        panel = run_panel("p", runner, ["A"], graphs=["g1"],
+        panel = sweep(runner, ["A"], graphs=["g1"],
                           threads=[1, 10], retries=0)
         assert math.isnan(panel.baselines["g1"])
 
 
 class TestParallelPanel:
-    def test_jobs2_bitwise_identical_to_serial(self):
+    def test_jobs2_bitwise_identical_to_serial(self, sweep):
         kw = dict(variants=["fast", "slow"], graphs=["g1", "g2"],
                   threads=[1, 10])
-        serial = run_panel("p", TestRunPanel.runner, **kw)
-        parallel = run_panel("p", TestRunPanel.runner, jobs=2, **kw)
+        serial = sweep(TestRunPanel.runner, **kw)
+        parallel = sweep(TestRunPanel.runner, jobs=2, **kw)
         for label in ("fast", "slow"):
             assert np.array_equal(serial.series[label],
                                   parallel.series[label])
@@ -255,7 +312,7 @@ class TestParallelPanel:
         assert np.array_equal(serial.per_graph[("fast", "g2")],
                               parallel.per_graph[("fast", "g2")])
 
-    def test_jobs_failures_keep_nan_semantics(self):
+    def test_jobs_failures_keep_nan_semantics(self, sweep):
         import math
 
         def runner(g, v, t):
@@ -263,7 +320,7 @@ class TestParallelPanel:
                 raise RuntimeError("injected")
             return 1000.0 / t
 
-        panel = run_panel("p", runner, ["A"], graphs=["g1", "g2"],
+        panel = sweep(runner, ["A"], graphs=["g1", "g2"],
                           threads=[1, 10], retries=0, jobs=2)
         assert list(panel.failures) == [("g2", "A", 10)]
         assert math.isnan(panel.per_graph[("A", "g2")][1])
@@ -279,48 +336,62 @@ class TestStoreBackedPanel:
 
         return runner
 
-    def test_second_run_recomputes_nothing(self, tmp_path):
+    def test_second_run_recomputes_nothing(self, tmp_path, sweep):
         from repro.campaign.store import ResultStore
         store = ResultStore(tmp_path)
         calls = []
         runner = self.counting_runner(calls)
         kw = dict(variants=["A"], graphs=["g1"], threads=[1, 10])
-        p1 = run_panel("p", runner, store=store, **kw)
+        p1 = sweep(runner, store=store, **kw)
         cold = len(calls)
         assert cold == 2
-        p2 = run_panel("p", runner, store=store, **kw)
+        p2 = sweep(runner, store=store, **kw)
         assert len(calls) == cold  # every cell served from the store
         assert np.array_equal(p1.series["A"], p2.series["A"])
 
-    def test_titles_do_not_collide(self, tmp_path):
+    def test_titles_share_cells(self, tmp_path, sweep):
         from repro.campaign.store import ResultStore
         store = ResultStore(tmp_path)
         calls = []
         runner = self.counting_runner(calls)
         kw = dict(variants=["A"], graphs=["g1"], threads=[1])
-        run_panel("one", runner, store=store, **kw)
-        run_panel("two", runner, store=store, **kw)
-        assert len(calls) == 2  # same coordinates, different panel keys
+        sweep(runner, title="one", store=store, **kw)
+        sweep(runner, title="two", store=store, **kw)
+        assert len(calls) == 1  # the store key is the cell, not the title
 
-    def test_store_off_by_default(self, tmp_path, monkeypatch):
+    def test_campaign_serves_panel_cells(self, tmp_path, sweep):
+        from repro.campaign.cli import run_campaign
+        from repro.campaign.spec import CampaignSpec
+        from repro.campaign.store import ResultStore
+        store = ResultStore(tmp_path)
+        calls = []
+        sweep(self.counting_runner(calls), variants=["A"], graphs=["g1"],
+              threads=[1, 10], store=store)
+        spec = CampaignSpec(name="c", experiment="fake", graphs=["g1"],
+                            variants=["A"], threads=[1, 10])
+        _, report = run_campaign(spec, store=store)
+        assert (report.hits, report.computed) == (2, 0)
+        assert len(calls) == 2
+
+    def test_store_off_by_default(self, tmp_path, monkeypatch, sweep):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         calls = []
         runner = self.counting_runner(calls)
         kw = dict(variants=["A"], graphs=["g1"], threads=[1])
-        run_panel("p", runner, **kw)
-        run_panel("p", runner, **kw)
+        sweep(runner, **kw)
+        sweep(runner, **kw)
         assert len(calls) == 2  # no caching without REPRO_STORE/store=
 
-    def test_store_env_var_enables_cache(self, tmp_path, monkeypatch):
+    def test_store_env_var_enables_cache(self, tmp_path, monkeypatch, sweep):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         calls = []
         runner = self.counting_runner(calls)
         kw = dict(variants=["A"], graphs=["g1"], threads=[1])
-        run_panel("p", runner, **kw)
-        run_panel("p", runner, **kw)
+        sweep(runner, **kw)
+        sweep(runner, **kw)
         assert len(calls) == 1
 
-    def test_rerun_recomputes_only_the_failed_cell(self, tmp_path):
+    def test_rerun_recomputes_only_the_failed_cell(self, tmp_path, sweep):
         import math
         from repro.campaign.store import ResultStore
         store = ResultStore(tmp_path)
@@ -334,19 +405,19 @@ class TestStoreBackedPanel:
 
         kw = dict(variants=["A"], graphs=["g1"], threads=[1, 10],
                   retries=0, store=store)
-        p1 = run_panel("p", runner, **kw)
+        p1 = sweep(runner, **kw)
         assert math.isnan(p1.per_graph[("A", "g1")][1])
-        assert store.get({"panel": "p", "graph": "g1", "variant": "A",
-                          "threads": 10}) is None  # NaN is never stored
+        nan_cell = CellSpec("fake", "g1", "A", 10)
+        assert store.get(nan_cell.to_dict()) is None  # NaN is never stored
 
         state["fail"] = False
         first_pass = len(state["calls"])
-        p2 = run_panel("p", runner, **kw)
+        p2 = sweep(runner, **kw)
         assert state["calls"][first_pass:] == [("g1", "A", 10)]
         assert not p2.failures
         assert p2.series["A"][1] == pytest.approx(10.0)
 
-    def test_interrupted_sweep_resumes_from_store(self, tmp_path):
+    def test_interrupted_sweep_resumes_from_store(self, tmp_path, sweep):
         from repro.campaign.store import ResultStore
         store = ResultStore(tmp_path)
         state = {"stop_at": 3, "calls": []}
@@ -360,12 +431,12 @@ class TestStoreBackedPanel:
         kw = dict(variants=["A", "B"], graphs=["g1"], threads=[1, 10],
                   store=store)
         with pytest.raises(KeyboardInterrupt):
-            run_panel("p", runner, **kw)
+            sweep(runner, **kw)
         finished = state["calls"][:state["stop_at"] - 1]
 
         state["stop_at"] = None
         first_pass = len(state["calls"])
-        panel = run_panel("p", runner, **kw)
+        panel = sweep(runner, **kw)
         every = [("g1", v, t) for v in ("A", "B") for t in (1, 10)]
         assert state["calls"][first_pass:] == \
             [c for c in every if c not in finished]
@@ -374,11 +445,11 @@ class TestStoreBackedPanel:
 
 
 class TestBaselinePoint:
-    def test_zero_point_prepended_and_used(self):
+    def test_zero_point_prepended_and_used(self, sweep):
         def runner(g, v, t):
             return 100.0 * (1.0 + t)  # t=0 is the fastest cell
 
-        panel = run_panel("p", runner, ["A"], graphs=["g1"],
+        panel = sweep(runner, ["A"], graphs=["g1"],
                           threads=[10], baseline_point=0,
                           per_variant_baseline=True)
         assert panel.thread_counts == [0, 10]
