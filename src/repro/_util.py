@@ -85,18 +85,28 @@ def backoff_delay(token: str, attempt: int, base: float = 0.05,
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
-    """Write *text* to *path* atomically (tmp file + ``os.replace``).
+    """Write *text* to *path* atomically and durably.
 
     Used for every persisted artifact (bench trajectories, profiles,
-    metrics dumps) so a crash mid-write never leaves a corrupt file behind.
+    metrics dumps, result-store objects) so a crash mid-write never
+    leaves a corrupt file behind.  The order is: write and ``fsync`` a
+    tmp file, ``os.replace`` it over *path*, then ``fsync`` the parent
+    directory so the rename itself survives a power failure.  The tmp
+    name carries the PID, so concurrent writers of one path never share
+    a tmp file.
     """
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def rng_from_seed(

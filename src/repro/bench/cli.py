@@ -2,17 +2,18 @@
 
 Subcommands::
 
-    repro bench run --suite figs        # measure, append to BENCH_figs.json
+    repro bench run                     # time figs, append to BENCH_figs.json
     repro bench profile --top 10        # wall-clock hot spots by subsystem
     repro bench compare A.json B.json   # perf gate: drift vs noise band
-    repro bench trend BENCH_figs.json   # median history per benchmark
 
-``run`` appends one entry to the suite's trajectory file (repo root by
-default) unless ``--no-append``; ``--output`` additionally writes the
-bare entry to a separate file for CI artifact upload.  ``compare``
-exits non-zero on regression past ``tolerance + noise floor`` — that
-exit code *is* the CI perf gate.
-``profile --trace``/``--metrics`` also records the benchmarks in one
+``run`` times the ``figs`` suite and appends one entry to
+``BENCH_figs.json`` (in the working directory by default) unless
+``--no-append``; ``--output`` additionally writes the bare entry to a
+separate file for CI artifact upload.  ``compare`` exits non-zero on
+regression past ``tolerance + noise floor`` — that exit code *is* the
+CI perf gate.
+``profile --suite figs|kernels`` attributes wall time to subsystem
+buckets; ``--trace``/``--metrics`` also records the benchmarks in one
 :class:`repro.obs.Observer` (frames labelled ``benchmark=<name>``) and
 draws the longest simulated loop above the wall-clock table.
 """
@@ -32,27 +33,26 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.bench.compare import DEFAULT_TOLERANCE
-    from repro.bench.suite import suite_names
+    from repro.bench.suite import SUITES, TRAJECTORY
+    from repro.bench.timer import DEFAULT_REPEAT, DEFAULT_WARMUP
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description="wall-clock benchmark harness and perf-trajectory gate")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a benchmark suite and record it")
-    run.add_argument("--suite", choices=suite_names(), default="kernels",
-                     help="benchmark suite to run (default: kernels)")
-    run.add_argument("--repeat", type=int, default=None,
+    run = sub.add_parser("run", help="time the figs suite and record it")
+    run.add_argument("--repeat", type=int, default=DEFAULT_REPEAT,
                      help="timed repetitions per benchmark "
-                          "(default: REPRO_BENCH_REPEAT or 5)")
-    run.add_argument("--warmup", type=int, default=None,
+                          f"(default: {DEFAULT_REPEAT})")
+    run.add_argument("--warmup", type=int, default=DEFAULT_WARMUP,
                      help="untimed warmup runs per benchmark "
-                          "(default: REPRO_BENCH_WARMUP or 1)")
+                          f"(default: {DEFAULT_WARMUP})")
     run.add_argument("--filter", default=None, metavar="SUBSTR",
                      help="only run benchmarks whose name contains SUBSTR")
-    run.add_argument("--trajectory", default=None, metavar="PATH",
-                     help="trajectory file to append to "
-                          "(default: ./BENCH_<suite>.json)")
+    run.add_argument("--trajectory", default=TRAJECTORY, metavar="PATH",
+                     help=f"trajectory file to append to "
+                          f"(default: ./{TRAJECTORY})")
     run.add_argument("--output", default=None, metavar="PATH",
                      help="also write this run's bare entry to PATH")
     run.add_argument("--no-append", action="store_true",
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser("profile",
                           help="attribute wall time to subsystem buckets")
-    prof.add_argument("--suite", choices=suite_names(), default="kernels",
+    prof.add_argument("--suite", choices=sorted(SUITES), default="kernels",
                       help="suite to profile (default: kernels)")
     prof.add_argument("--filter", default=None, metavar="SUBSTR",
                       help="only profile benchmarks whose name contains "
@@ -83,25 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="gate current results against a baseline")
     cmp_.add_argument("baseline", help="baseline trajectory or entry file")
     cmp_.add_argument("current", help="current trajectory or entry file")
-    cmp_.add_argument("--tolerance", type=float, default=None,
+    cmp_.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                       help="relative regression tolerance before the noise "
-                           f"floor (default: REPRO_BENCH_TOLERANCE or "
-                           f"{DEFAULT_TOLERANCE})")
-
-    trend = sub.add_parser("trend",
-                           help="median history across a trajectory file")
-    trend.add_argument("trajectory", nargs="?", default=None,
-                       help="trajectory file (default: ./BENCH_<suite>.json)")
-    trend.add_argument("--suite", choices=suite_names(), default="kernels",
-                       help="suite whose default file to read when no "
-                            "path is given")
+                           f"floor (default: {DEFAULT_TOLERANCE})")
     return parser
 
 
 def _cmd_run(args) -> int:
-    from repro.bench.suite import (append_entry, print_entry, run_suite,
-                                   trajectory_path)
-    entry = run_suite(args.suite, repeat=args.repeat, warmup=args.warmup,
+    from repro.bench.suite import append_entry, print_entry, run_suite
+    entry = run_suite(repeat=args.repeat, warmup=args.warmup,
                       name_filter=args.filter,
                       progress=lambda line: print(line, file=sys.stderr))
     print_entry(entry)
@@ -110,9 +100,8 @@ def _cmd_run(args) -> int:
                           json.dumps(entry, sort_keys=True, indent=1) + "\n")
         print(f"entry written to {args.output}")
     if not args.no_append:
-        path = args.trajectory or trajectory_path(args.suite)
-        data = append_entry(path, entry)
-        print(f"appended entry {len(data['entries'])} to {path}")
+        data = append_entry(args.trajectory, entry)
+        print(f"appended entry {len(data['entries'])} to {args.trajectory}")
     return 0
 
 
@@ -171,18 +160,10 @@ def _cmd_compare(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_trend(args) -> int:
-    from repro.bench.compare import format_trend
-    from repro.bench.suite import load_trajectory, trajectory_path
-    path = args.trajectory or trajectory_path(args.suite)
-    print(format_trend(load_trajectory(path)))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": _cmd_run, "profile": _cmd_profile,
-               "compare": _cmd_compare, "trend": _cmd_trend}[args.command]
+               "compare": _cmd_compare}[args.command]
     try:
         return handler(args)
     except (ValueError, OSError) as exc:

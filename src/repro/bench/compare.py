@@ -1,4 +1,4 @@
-"""Cross-run comparison and trend rendering for bench trajectories.
+"""Cross-run comparison of bench trajectory entries.
 
 ``compare`` puts two trajectory entries side by side (the latest entry
 of each file) and checks every shared benchmark's **median** for
@@ -9,10 +9,6 @@ noise floor is the worse of the two entries' own repetition spreads
 (``(max - min) / median``).  A benchmark whose runs wobble 30% cannot
 fail a 25% gate on a 28% drift — but a seeded 2× slowdown sails past
 any sane band, which is what the CI gate asserts.
-
-``trend`` renders a whole trajectory file: one line per benchmark with
-its median over every recorded entry, so the perf history of the repo
-reads at a glance.
 """
 
 from __future__ import annotations
@@ -20,21 +16,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro._util import env_float
 from repro.bench.suite import load_trajectory
 from repro.bench.timer import Sample
 
 __all__ = ["BenchRow", "BenchDiffReport", "compare_entries", "compare_files",
-           "format_trend", "bench_tolerance", "DEFAULT_TOLERANCE"]
+           "DEFAULT_TOLERANCE"]
 
 #: Default relative-regression tolerance (before the noise floor).
 DEFAULT_TOLERANCE = 0.25
-
-
-def bench_tolerance() -> float:
-    """Regression tolerance from ``REPRO_BENCH_TOLERANCE``."""
-    return float(env_float("REPRO_BENCH_TOLERANCE", DEFAULT_TOLERANCE,
-                           lo=0.0))
 
 
 @dataclass(frozen=True)
@@ -116,9 +105,8 @@ def _env_warnings(base_env: dict, cur_env: dict) -> list[str]:
 
 
 def compare_entries(baseline: dict, current: dict,
-                    tolerance: float | None = None) -> BenchDiffReport:
+                    tolerance: float = DEFAULT_TOLERANCE) -> BenchDiffReport:
     """Compare two trajectory entries benchmark by benchmark."""
-    tolerance = bench_tolerance() if tolerance is None else tolerance
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     base, cur = baseline["results"], current["results"]
@@ -143,7 +131,7 @@ def compare_entries(baseline: dict, current: dict,
 
 def compare_files(baseline_path: str | os.PathLike,
                   current_path: str | os.PathLike,
-                  tolerance: float | None = None) -> BenchDiffReport:
+                  tolerance: float = DEFAULT_TOLERANCE) -> BenchDiffReport:
     """Compare the latest entries of two trajectory files.
 
     Either file may also be a bare entry (``bench run --no-append``
@@ -157,26 +145,3 @@ def compare_files(baseline_path: str | os.PathLike,
                          f"({current_path})")
     return compare_entries(base["entries"][-1], cur["entries"][-1],
                            tolerance=tolerance)
-
-
-def format_trend(trajectory: dict) -> str:
-    """Per-benchmark median history over a trajectory's entries."""
-    from repro.experiments.report import format_rows
-    entries = trajectory["entries"]
-    names = sorted({name for entry in entries for name in entry["results"]})
-    rows = []
-    for name in names:
-        medians = [entry["results"][name]["median_s"]
-                   for entry in entries if name in entry["results"]]
-        history = " -> ".join(f"{m:.4f}" for m in medians)
-        if len(medians) >= 2 and medians[0] > 0:
-            overall = (medians[-1] - medians[0]) / medians[0]
-            delta = f"{overall:+.1%}"
-        else:
-            delta = "-"
-        rows.append((name, len(medians), history, delta))
-    header = (f"suite {trajectory['suite']}: {len(entries)} entr"
-              f"{'y' if len(entries) == 1 else 'ies'}")
-    return header + "\n" + format_rows(
-        ["benchmark", "entries", "median_s history", "latest vs first"],
-        rows)

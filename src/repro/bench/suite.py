@@ -1,36 +1,29 @@
-"""Pinned benchmark suites and ``BENCH_<suite>.json`` trajectory files.
+"""Benchmark suites and the ``BENCH_figs.json`` trajectory file.
 
-Four suites cover the layers whose wall-clock cost the ROADMAP speed
-items must move:
+Two suites, each with one consumer:
 
 ``figs``
     The paper's figure sweeps (fig1–fig4) at smoke scale — end-to-end
     driver cost including the harness, baselines and aggregation.
+    ``repro bench run`` times it and appends to ``BENCH_figs.json``;
+    ``repro bench profile --suite figs`` attributes its wall time.
 ``kernels``
-    One kernel execution each (colouring, BFS, irregular) in isolation —
-    the event engine + runtime hot loops with no sweep machinery around
-    them.
-``campaign``
-    Campaign executor throughput: dispatch overhead per cell (serial
-    executor over a trivial runner) and the content-addressed store's
-    warm hit path.
-``graphs``
-    The graph registry at million-vertex scale: one cold streaming
-    build of ``tube:1m`` into a fresh registry, and the warm path — a
-    new registry instance memory-mapping the same ``.rgr`` file — which
-    is the cost every campaign worker pays per graph after the first.
+    Three :class:`~repro.campaign.spec.CellSpec`\\ s run through
+    :func:`~repro.campaign.runners.run_cell` — one colouring, one BFS
+    and one irregular cell at 31 threads (:data:`KERNEL_CELLS`).  They
+    are profiled, never timed into a trajectory: the CI telemetry gate
+    compares their metric frames with ``benchmarks/profile_baseline.jsonl``
+    byte for byte, and the profiler coverage gate runs on them.
 
-Every benchmark pins its environment (graphs, thread counts, fast mode;
-the result store *off* so repetitions measure compute, not cache
+Every fig benchmark pins its environment (graphs, thread counts, fast
+mode; the result store *off* so repetitions measure compute, not cache
 hits) and restores it afterwards, so results are comparable across
 checkouts and unaffected by the caller's shell.
 
-Results append to versioned trajectory files at the repo root —
-``BENCH_figs.json``, ``BENCH_kernels.json``, … — one entry per ``repro
-bench run``, carrying an environment fingerprint (python, platform, CPU
-count, code fingerprint) so a regression can be told apart from a
-machine change.  ``repro bench compare``/``trend`` consume these files;
-CI appends on every run and fails on regression past the noise floor.
+Each ``repro bench run`` appends one entry to ``BENCH_figs.json`` at
+the repo root, carrying an environment fingerprint (python, platform,
+CPU count, code fingerprint) so a regression can be told apart from a
+machine change.  ``repro bench compare`` gates two such entries.
 """
 
 from __future__ import annotations
@@ -40,33 +33,34 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from repro._util import atomic_write_text, env_str
-from repro.bench.timer import WALL, Clock, Sample, measure
+from repro._util import atomic_write_text
+from repro.bench.timer import (DEFAULT_REPEAT, DEFAULT_WARMUP, WALL, Clock,
+                               measure)
+from repro.campaign.runners import run_cell
+from repro.campaign.spec import CellSpec
 
-__all__ = ["Benchmark", "BENCHMARKS", "SUITES", "suite_names",
-           "suite_benchmarks", "run_suite", "env_fingerprint",
-           "validate_entry", "load_trajectory", "append_entry",
-           "trajectory_path", "SCHEMA_VERSION", "bench_filter"]
+__all__ = ["Benchmark", "KERNEL_CELLS", "SUITES", "suite_benchmarks",
+           "run_suite", "env_fingerprint", "validate_entry",
+           "load_trajectory", "append_entry", "TRAJECTORY",
+           "SCHEMA_VERSION"]
 
 #: Version stamp of the entry schema (bump on incompatible change).
 SCHEMA_VERSION = 1
+
+#: The trajectory file ``bench run`` appends to by default.
+TRAJECTORY = "BENCH_figs.json"
 
 #: Smoke-scale sweep pins shared by the fig benchmarks: two suite graphs
 #: and three thread counts keep one fig sweep in low single-digit
 #: seconds while still exercising the 1-thread baseline and a wide loop.
 _FIG_GRAPHS = "auto,pwtk"
 _FIG_THREADS = "1,11,31"
-
-
-def bench_filter() -> str | None:
-    """Benchmark-name substring filter from ``REPRO_BENCH_FILTER``."""
-    return env_str("REPRO_BENCH_FILTER")
 
 
 @contextmanager
@@ -96,198 +90,46 @@ def _pinned_env(pins: dict):
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One registered benchmark: a pinned, repeatable no-arg callable."""
+    """One benchmark: a pinned, repeatable no-arg callable."""
 
     name: str
-    suite: str
     fn: Callable[[], object]
     description: str = ""
 
 
-BENCHMARKS: dict[str, Benchmark] = {}
+def _run_fig(module: str, runner: str) -> None:
+    from importlib import import_module
+    with _pinned_env({"REPRO_FAST": "1", "REPRO_GRAPHS": _FIG_GRAPHS,
+                      "REPRO_THREADS": _FIG_THREADS,
+                      "REPRO_PROGRESS": None}):
+        getattr(import_module(f"repro.experiments.{module}"), runner)()
 
 
-def _register(name: str, suite: str, description: str):
-    def deco(fn):
-        if name in BENCHMARKS:
-            raise ValueError(f"duplicate benchmark name {name!r}")
-        BENCHMARKS[name] = Benchmark(name=name, suite=suite, fn=fn,
-                                     description=description)
-        return fn
-    return deco
+#: The kernel profile targets: one cell per kernel at 31 threads.  Each
+#: is profiled under the label ``benchmark=<experiment>``.
+KERNEL_CELLS = (
+    CellSpec("coloring", "pwtk", "OpenMP-dynamic", 31),
+    CellSpec("bfs", "pwtk", "OpenMP-Block-relaxed", 31),
+    CellSpec("irregular", "auto", "OpenMP", 31,
+             params=(("iterations", 5),)),
+)
 
-
-# ----- figs suite: end-to-end figure sweeps at smoke scale ------------------
-
-
-def _fig_pins() -> dict:
-    return {"REPRO_FAST": "1", "REPRO_GRAPHS": _FIG_GRAPHS,
-            "REPRO_THREADS": _FIG_THREADS, "REPRO_PROGRESS": None}
-
-
-@_register("fig1", "figs", "colouring sweep, natural order")
-def _bench_fig1() -> None:
-    from repro.experiments.fig1_coloring import run_fig1
-    with _pinned_env(_fig_pins()):
-        run_fig1()
-
-
-@_register("fig2", "figs", "colouring sweep, shuffled vertex ids")
-def _bench_fig2() -> None:
-    from repro.experiments.fig2_shuffled import run_fig2
-    with _pinned_env(_fig_pins()):
-        run_fig2()
-
-
-@_register("fig3", "figs", "irregular microbenchmark sweep")
-def _bench_fig3() -> None:
-    from repro.experiments.fig3_irregular import run_fig3
-    with _pinned_env(_fig_pins()):
-        run_fig3()
-
-
-@_register("fig4", "figs", "layered BFS sweep")
-def _bench_fig4() -> None:
-    from repro.experiments.fig4_bfs import run_fig4
-    with _pinned_env(_fig_pins()):
-        run_fig4()
-
-
-# ----- kernels suite: one instrumented-scale kernel run each ----------------
-
-
-@_register("coloring", "kernels", "one parallel colouring, 31 threads")
-def _bench_coloring() -> None:
-    from repro.experiments.fig1_coloring import coloring_cycles
-    with _pinned_env({}):
-        coloring_cycles("pwtk", "OpenMP-dynamic", 31)
-
-
-@_register("bfs", "kernels", "one layered BFS, 31 threads")
-def _bench_bfs() -> None:
-    from repro.experiments.fig4_bfs import bfs_cycles
-    with _pinned_env({}):
-        bfs_cycles("pwtk", "OpenMP-Block-relaxed", 31)
-
-
-@_register("irregular", "kernels", "one irregular microbenchmark, 31 threads")
-def _bench_irregular() -> None:
-    from repro.experiments.fig3_irregular import irregular_cycles
-    with _pinned_env({}):
-        irregular_cycles("auto", "OpenMP", 31, iterations=5)
-
-
-# ----- campaign suite: executor and store throughput ------------------------
-
-#: Cells per executor-throughput repetition (trivial runner: measures
-#: dispatch/record overhead, reported as cells/sec by ``bench run``).
-_EXEC_CELLS = 400
-
-
-@_register("executor-dispatch", "campaign",
-           f"serial executor over {_EXEC_CELLS} trivial cells")
-def _bench_executor() -> None:
-    from repro.campaign.executor import execute
-    with _pinned_env({}):
-        report = execute(lambda key: float(key % 7), range(_EXEC_CELLS),
-                         jobs=1)
-        if report.failed:
-            raise RuntimeError(f"executor benchmark failed: {report.errors}")
-
-
-@_register("store-hits", "campaign",
-           f"warm content-addressed store, {_EXEC_CELLS} hits")
-def _bench_store_hits() -> None:
-    from repro.campaign.executor import execute
-    from repro.campaign.store import ResultStore
-    with _pinned_env({}), tempfile.TemporaryDirectory() as root:
-        store = ResultStore(root)
-        spec_for = lambda key: {"bench": "store-hits", "cell": key}  # noqa: E731
-        for key in range(_EXEC_CELLS):
-            store.put(spec_for(key), float(key))
-        report = execute(lambda key: float(key), range(_EXEC_CELLS),
-                         jobs=1, store=store, spec_for=spec_for)
-        if report.hits != _EXEC_CELLS:
-            raise RuntimeError(
-                f"expected {_EXEC_CELLS} hits, got {report.hits}")
-
-
-# ----- graphs suite: registry cold build vs warm mmap load ------------------
-
-#: The graph the registry benchmarks build/load: the smallest name that
-#: exercises true million-vertex scale (~12.5M directed entries, ~55 MiB
-#: on disk).
-_GRAPHS_BENCH_NAME = "tube:1m"
-
-#: Lazily-built registry root shared by the warm-load repetitions, so
-#: the ~4s build is paid once, not per sample.  Cleaned up at exit.
-_graphs_warm_root: str | None = None
-
-
-def _graphs_warm_registry_root() -> str:
-    global _graphs_warm_root
-    if _graphs_warm_root is None:
-        import atexit
-        import shutil
-        from repro.graphstore.registry import GraphRegistry
-        root = tempfile.mkdtemp(prefix="repro-bench-graphs-")
-        GraphRegistry(root).build(_GRAPHS_BENCH_NAME)
-        atexit.register(shutil.rmtree, root, True)
-        _graphs_warm_root = root
-    return _graphs_warm_root
-
-
-@_register("graphs-cold-build", "graphs",
-           f"streaming build + save of {_GRAPHS_BENCH_NAME}, fresh registry")
-def _bench_graphs_cold_build() -> None:
-    """The full cold path: parse the name, stream-generate a million
-    vertices through the external CSR builder, write the checksummed
-    ``.rgr``, and mmap it back."""
-    from repro.graphstore.registry import GraphRegistry
-    with _pinned_env({}), tempfile.TemporaryDirectory() as root:
-        registry = GraphRegistry(root)
-        graph = registry.get(_GRAPHS_BENCH_NAME)
-        if registry.stats.builds != 1 or graph.n_vertices < 1_000_000:
-            raise RuntimeError(f"expected one 1M-vertex cold build, got "
-                               f"{registry.stats.to_dict()}")
-
-
-#: Warm loads per repetition: one mmap open is sub-millisecond, so a
-#: single load is all clock noise; 20 fresh-registry loads amortise it.
-_GRAPHS_WARM_LOADS = 20
-
-
-@_register("graphs-warm-load", "graphs",
-           f"{_GRAPHS_WARM_LOADS} zero-copy mmap loads of a built "
-           f"{_GRAPHS_BENCH_NAME}")
-def _bench_graphs_warm_load() -> None:
-    """The per-worker warm path: a fresh registry instance (cold handle
-    cache, as in a new fork) resolving the same name must load via mmap
-    with zero generation — O(1) header checks, no payload read."""
-    from repro.graphstore.registry import GraphRegistry
-    with _pinned_env({}):
-        root = _graphs_warm_registry_root()
-        for _ in range(_GRAPHS_WARM_LOADS):
-            registry = GraphRegistry(root)
-            graph = registry.get(_GRAPHS_BENCH_NAME)
-            if registry.stats.builds != 0 or registry.stats.hits != 1:
-                raise RuntimeError(f"warm load regenerated the graph: "
-                                   f"{registry.stats.to_dict()}")
-            if graph.n_vertices < 1_000_000:
-                raise RuntimeError("warm load returned the wrong graph")
-
-
-# ----- suite execution ------------------------------------------------------
-
-#: Suite name -> ordered benchmark names (derived from the registry).
-SUITES: dict[str, list[str]] = {}
-for _name, _bench in BENCHMARKS.items():
-    SUITES.setdefault(_bench.suite, []).append(_name)
-
-
-def suite_names() -> list[str]:
-    """The registered suite names, sorted."""
-    return sorted(SUITES)
+#: Suite name -> its benchmarks, in run order.
+SUITES: dict[str, tuple[Benchmark, ...]] = {
+    "figs": (
+        Benchmark("fig1", partial(_run_fig, "fig1_coloring", "run_fig1"),
+                  "colouring sweep, natural order"),
+        Benchmark("fig2", partial(_run_fig, "fig2_shuffled", "run_fig2"),
+                  "colouring sweep, shuffled vertex ids"),
+        Benchmark("fig3", partial(_run_fig, "fig3_irregular", "run_fig3"),
+                  "irregular microbenchmark sweep"),
+        Benchmark("fig4", partial(_run_fig, "fig4_bfs", "run_fig4"),
+                  "layered BFS sweep"),
+    ),
+    "kernels": tuple(Benchmark(cell.experiment, partial(run_cell, cell),
+                               f"{cell.experiment} {cell.label()}")
+                     for cell in KERNEL_CELLS),
+}
 
 
 def suite_benchmarks(suite: str,
@@ -295,14 +137,13 @@ def suite_benchmarks(suite: str,
     """The suite's benchmarks, optionally filtered by name substring."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} "
-                         f"(choose from {suite_names()})")
-    if name_filter is None:
-        name_filter = bench_filter()
-    out = [BENCHMARKS[n] for n in SUITES[suite]
-           if name_filter is None or name_filter in n]
+                         f"(choose from {sorted(SUITES)})")
+    out = [b for b in SUITES[suite]
+           if name_filter is None or name_filter in b.name]
     if not out:
         raise ValueError(f"filter {name_filter!r} matches no benchmark in "
-                         f"suite {suite!r} (have {SUITES[suite]})")
+                         f"suite {suite!r} "
+                         f"(have {[b.name for b in SUITES[suite]]})")
     return out
 
 
@@ -326,11 +167,10 @@ def env_fingerprint() -> dict:
     }
 
 
-def run_suite(suite: str, *, repeat: int | None = None,
-              warmup: int | None = None, name_filter: str | None = None,
-              clock: Clock = WALL, stamp: Clock = time.time,
-              progress=None) -> dict:
-    """Run every benchmark of *suite*; returns one trajectory entry.
+def run_suite(*, repeat: int = DEFAULT_REPEAT, warmup: int = DEFAULT_WARMUP,
+              name_filter: str | None = None, clock: Clock = WALL,
+              stamp: Clock = time.time, progress=None) -> dict:
+    """Time every ``figs`` benchmark; returns one trajectory entry.
 
     *clock* times the repetitions and *stamp* produces the entry's
     ``generated_at`` — both injectable so tests get byte-stable entries.
@@ -338,13 +178,11 @@ def run_suite(suite: str, *, repeat: int | None = None,
     Benchmark stdout is swallowed: the drivers print ASCII panels, and a
     timing run is not the place for them.
     """
-    benches = suite_benchmarks(suite, name_filter)
     results: dict[str, dict] = {}
-    for bench in benches:
+    for bench in suite_benchmarks("figs", name_filter):
         if progress is not None:
             progress(f"bench {bench.name} ({bench.description}) ...")
-        sink = io.StringIO()
-        with redirect_stdout(sink):
+        with redirect_stdout(io.StringIO()):
             sample = measure(bench.fn, repeat=repeat, warmup=warmup,
                              clock=clock)
         results[bench.name] = sample.to_dict()
@@ -354,7 +192,7 @@ def run_suite(suite: str, *, repeat: int | None = None,
                      f"(spread {sample.spread:.1%})")
     entry = {
         "schema": SCHEMA_VERSION,
-        "suite": suite,
+        "suite": "figs",
         "generated_at": float(stamp()),
         "env": env_fingerprint(),
         "results": results,
@@ -392,17 +230,12 @@ def validate_entry(entry: object) -> dict:
     return entry
 
 
-def trajectory_path(suite: str, directory: str | os.PathLike = ".") -> str:
-    """Default trajectory file for *suite*: ``<dir>/BENCH_<suite>.json``."""
-    return os.path.join(os.fspath(directory), f"BENCH_{suite}.json")
-
-
 def load_trajectory(path: str | os.PathLike) -> dict:
     """Load + schema-check a trajectory file (or a bare entry).
 
     A bare entry (as written by ``bench run --output`` with
     ``--no-append``) is wrapped into a single-entry trajectory so the
-    compare/trend layer handles both shapes.
+    compare layer handles both shapes.
     """
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         data = json.load(fh)

@@ -21,11 +21,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro._util import check_nonnegative, env_int
+from repro._util import check_nonnegative
 
 __all__ = ["Clock", "WALL", "FakeClock", "Sample", "measure",
-           "bench_repeat", "bench_warmup", "DEFAULT_REPEAT",
-           "DEFAULT_WARMUP"]
+           "DEFAULT_REPEAT", "DEFAULT_WARMUP"]
 
 #: ``Clock`` is any zero-argument callable returning seconds as a float.
 Clock = Callable[[], float]
@@ -33,20 +32,10 @@ Clock = Callable[[], float]
 #: The production clock: monotonic, high-resolution, wall seconds.
 WALL: Clock = time.perf_counter
 
-#: Default repetitions per benchmark (overridable via REPRO_BENCH_REPEAT).
+#: Default repetitions per benchmark (``bench run --repeat``).
 DEFAULT_REPEAT = 5
-#: Default untimed warmup runs (overridable via REPRO_BENCH_WARMUP).
+#: Default untimed warmup runs (``bench run --warmup``).
 DEFAULT_WARMUP = 1
-
-
-def bench_repeat() -> int:
-    """Timed repetitions per benchmark from ``REPRO_BENCH_REPEAT``."""
-    return int(env_int("REPRO_BENCH_REPEAT", DEFAULT_REPEAT, lo=1))
-
-
-def bench_warmup() -> int:
-    """Untimed warmup runs per benchmark from ``REPRO_BENCH_WARMUP``."""
-    return int(env_int("REPRO_BENCH_WARMUP", DEFAULT_WARMUP, lo=0))
 
 
 class FakeClock:
@@ -143,11 +132,9 @@ class Sample:
                    warmup=int(data.get("warmup", 0)))
 
 
-def measure(fn: Callable[[], object], *, repeat: int | None = None,
-            warmup: int | None = None, clock: Clock = WALL) -> Sample:
+def measure(fn: Callable[[], object], *, repeat: int = DEFAULT_REPEAT,
+            warmup: int = DEFAULT_WARMUP, clock: Clock = WALL) -> Sample:
     """Time ``fn()`` *repeat* times after *warmup* untimed runs."""
-    repeat = bench_repeat() if repeat is None else repeat
-    warmup = bench_warmup() if warmup is None else warmup
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     check_nonnegative("warmup", warmup)

@@ -20,13 +20,19 @@ from dataclasses import dataclass, field
 
 from repro._util import canonical_json, sha256_hex
 
-__all__ = ["CellSpec", "CampaignSpec", "AXES"]
+__all__ = ["CellSpec", "CampaignSpec", "AXES", "axis_unit"]
 
 #: Meanings the third grid coordinate can take.  ``threads`` is the
 #: normal thread sweep; ``intensity`` reuses the axis for the fault
 #: experiments' percent scale (mirroring how ``run_panel`` sweeps fault
 #: intensity on its thread axis).
 AXES = ("threads", "intensity")
+
+
+def axis_unit(axis: str) -> str:
+    """Unit suffix of one coordinate on *axis*: ``31t`` or ``5%``."""
+    return "%" if axis == "intensity" else "t"
+
 
 _SPEC_KEYS = {"name", "experiment", "graphs", "variants", "threads",
               "axis", "machine", "seeds", "params"}
@@ -76,8 +82,8 @@ class CellSpec:
 
     def label(self) -> str:
         """Human-readable ``graph/variant@threads`` coordinate."""
-        unit = "%" if self.axis == "intensity" else "t"
-        return f"{self.graph}/{self.variant}@{self.threads}{unit}"
+        return (f"{self.graph}/{self.variant}@{self.threads}"
+                f"{axis_unit(self.axis)}")
 
 
 @dataclass

@@ -13,9 +13,9 @@ Telemetry (``repro.obs``):
   trace / metrics JSONL next to the ASCII output (``repro bench
   profile`` takes the same two options and also draws the Gantt of the
   longest loop);
-* ``diff-metrics BASELINE CURRENT`` compares two metrics dumps and
-  exits non-zero on cycle-breakdown drift past ``--threshold`` — the
-  CI perf-regression gate.
+* ``diff-metrics BASELINE CURRENT`` compares two metrics dumps exactly
+  and exits non-zero on any cycle-breakdown difference, printing the
+  differing components — the diagnostic behind the CI telemetry gate.
 
 Campaigns (``repro.campaign``):
 
@@ -47,12 +47,11 @@ Graph registry (``repro.graphstore``):
 
 Benchmarking (``repro.bench``):
 
-* ``repro bench run|profile|compare|trend ...`` delegates to
+* ``repro bench run|profile|compare ...`` delegates to
   :mod:`repro.bench.cli` — the wall-clock benchmark harness:
-  median-of-K pinned suites appended to ``BENCH_<suite>.json``
-  trajectory files, subsystem-bucketed wall profiling with flamegraph
-  export, and the perf-regression gate CI runs against the committed
-  baselines.
+  median-of-K timing of the figure sweeps appended to
+  ``BENCH_figs.json``, subsystem-bucketed wall profiling with flamegraph
+  export, and the same-runner perf-regression gate.
 """
 
 from __future__ import annotations
@@ -148,9 +147,6 @@ def main(argv=None) -> int:
                              "(open in Perfetto)")
     parser.add_argument("--metrics", default=None, metavar="PATH",
                         help="record per-loop metric frames as JSONL")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="diff-metrics: relative drift that fails the "
-                             "diff (default 0.20)")
     args = parser.parse_args(argv)
     if args.paths and args.what != "diff-metrics":
         parser.error(f"{args.what} takes no positional paths "
@@ -231,17 +227,14 @@ def main(argv=None) -> int:
 
 
 def _diff_metrics(args) -> int:
-    """``diff-metrics BASELINE CURRENT``: 0 iff no drift past threshold."""
-    from repro.obs.diff import DEFAULT_THRESHOLD, diff_metrics_files
+    """``diff-metrics BASELINE CURRENT``: 0 iff the frames are identical."""
+    from repro.obs.diff import diff_metrics_files
 
     if len(args.paths) != 2:
         print("diff-metrics needs exactly two paths: BASELINE CURRENT",
               file=sys.stderr)
         return 2
-    threshold = args.threshold if args.threshold is not None \
-        else DEFAULT_THRESHOLD
-    report = diff_metrics_files(args.paths[0], args.paths[1],
-                                threshold=threshold)
+    report = diff_metrics_files(args.paths[0], args.paths[1])
     print(report.format())
     return 0 if report.ok else 1
 

@@ -163,7 +163,9 @@ class PanelResult:
 
     ``failures`` maps a failed cell ``(graph, variant, threads)`` to the
     error string that survived the retry budget; the corresponding
-    speedups are NaN (partial-result semantics).
+    speedups are NaN (partial-result semantics).  ``axis`` is the cells'
+    :class:`~repro.campaign.spec.CellSpec` axis: ``thread_counts`` holds
+    fault intensities in percent when it is ``"intensity"``.
     """
 
     title: str
@@ -173,6 +175,7 @@ class PanelResult:
     baselines: dict = field(default_factory=dict)     # graph -> cycles at t=1
     failures: dict = field(default_factory=dict)      # (g, v, t) -> error str
     notes: str = ""
+    axis: str = "threads"
 
     def best(self, label: str) -> tuple[int, float]:
         """(thread count, value) of the series' peak speedup."""
@@ -285,6 +288,7 @@ def run_panel(
                 if c in report.errors}
 
     result = PanelResult(title=title, thread_counts=list(threads),
+                         axis=next(iter(cells.values())).axis,
                          failures=failures)
     for g in graphs:
         bases = [cycles[(g, v, baseline_point)] for v in baseline_variants]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.campaign.spec import axis_unit
 from repro.experiments.harness import PanelResult
 
 __all__ = ["format_panel", "format_rows", "print_panel"]
@@ -26,14 +27,16 @@ def _fmt(c) -> str:
 
 
 def format_panel(panel: PanelResult) -> str:
-    """Render a panel as `threads x variants` speedup table."""
-    headers = ["threads"] + list(panel.series)
+    """Render a panel as `axis x variants` speedup table."""
+    unit = axis_unit(panel.axis)
+    axis = "threads" if panel.axis == "threads" else f"{panel.axis} {unit}"
+    headers = [axis] + list(panel.series)
     rows = []
     for i, t in enumerate(panel.thread_counts):
         rows.append(tuple([t] + [float(panel.series[v][i]) for v in panel.series]))
     body = format_rows(headers, rows)
     out = [f"== {panel.title} ==", body]
-    peaks = ", ".join(f"{v}: {panel.best(v)[1]:.1f}@{panel.best(v)[0]}t"
+    peaks = ", ".join(f"{v}: {panel.best(v)[1]:.1f}@{panel.best(v)[0]}{unit}"
                       for v in panel.series)
     out.append(f"peaks: {peaks}")
     if panel.notes:

@@ -27,6 +27,7 @@ def panel_to_dict(panel: PanelResult) -> dict:
     return {
         "title": panel.title,
         "thread_counts": list(panel.thread_counts),
+        "axis": panel.axis,
         "series": {k: [float(x) for x in v] for k, v in panel.series.items()},
         "per_graph": {f"{v}{_SEP}{g}": [float(x) for x in arr]
                       for (v, g), arr in panel.per_graph.items()},
@@ -41,6 +42,7 @@ def panel_from_dict(data: dict) -> PanelResult:
     """Inverse of :func:`panel_to_dict`."""
     panel = PanelResult(title=data["title"],
                         thread_counts=list(data["thread_counts"]),
+                        axis=data.get("axis", "threads"),
                         notes=data.get("notes", ""))
     panel.series = {k: np.asarray(v) for k, v in data["series"].items()}
     for key, arr in data.get("per_graph", {}).items():

@@ -9,8 +9,8 @@ Three pieces, all off by default and free when off:
 * :mod:`repro.obs.metrics` — a counter registry plus one
   :class:`~repro.obs.metrics.MetricsFrame` per parallel loop whose cycle
   breakdown reconciles exactly with the loop's ``LoopStats``.
-* :mod:`repro.obs.diff` — cross-run regression diffs over JSONL metrics
-  dumps, with a threshold suitable for a CI exit code.
+* :mod:`repro.obs.diff` — exact cross-run diffs over JSONL metrics
+  dumps: any differing cycle component fails, for a CI exit code.
 
 :class:`Observer` bundles a tracer and a registry behind one context
 manager::

@@ -1,90 +1,79 @@
-"""Cross-run regression diffs over metrics JSONL dumps.
+"""Exact cross-run diffs over metrics JSONL dumps.
 
-Compares two metrics dumps (a committed baseline and a fresh run) cell
-by cell: frames are grouped by their sweep-cell labels plus loop label,
-summed, and each cycle-breakdown component is checked for relative
-drift.  ``repro-experiments diff-metrics`` turns the result into an
-exit code, which is what makes this usable as a CI perf-regression
-gate — the simulation is deterministic, so *any* drift is a model
-change, and drift beyond the threshold fails the build.
-
-Tiny components are compared against a noise floor (a fraction of the
-cell's thread-cycle budget) so a 3-cycle wobble in a nearly-empty
-bucket cannot fail a build.
+Compares two metrics dumps (a committed baseline and a fresh run) frame
+by frame: frames are keyed by their sweep-cell labels, loop label and
+the loop's occurrence number within that cell, and each frame's span
+and cycle-breakdown components are compared for equality.  The
+simulation is deterministic, so *any* difference — one ulp in one
+component, or a loop that appears or vanishes — is a model change and
+fails the diff.  ``repro-experiments diff-metrics`` turns the result
+into an exit code and prints the differing components as its
+diagnostic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.export import load_metrics_jsonl
 from repro.obs.metrics import BREAKDOWN_FIELDS, MetricsFrame
 
-__all__ = ["DiffRow", "DiffReport", "diff_frames", "diff_metrics_files",
-           "DEFAULT_THRESHOLD"]
+__all__ = ["DiffRow", "DiffReport", "diff_frames", "diff_metrics_files"]
 
-#: Default relative-drift threshold (20%, the CI gate's setting).
-DEFAULT_THRESHOLD = 0.20
-
-#: Components compared per cell: the breakdown plus the span itself.
+#: Components compared per frame: the breakdown plus the span itself.
 _COMPONENTS = ("span",) + BREAKDOWN_FIELDS
-
-#: Noise floor: components below this fraction of the cell's
-#: thread-cycle budget are compared against the floor, not themselves.
-_FLOOR_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
 class DiffRow:
-    """Drift of one cycle component in one cell."""
+    """One cycle component of one frame in both dumps."""
 
     cell: str
     component: str
     baseline: float
     current: float
-    drift: float                 # (current - baseline) / reference
 
     @property
-    def regressed(self) -> bool:
-        """True when the component grew (took more cycles)."""
-        return self.drift > 0
+    def drift(self) -> float:
+        """Relative change ``(current - baseline) / |baseline|``."""
+        if self.baseline == self.current:
+            return 0.0
+        if self.baseline == 0:
+            return float("inf") if self.current > 0 else float("-inf")
+        return (self.current - self.baseline) / abs(self.baseline)
 
 
 @dataclass
 class DiffReport:
     """All compared components plus the structural mismatches."""
 
-    threshold: float
     rows: list[DiffRow] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)   # cells only in baseline
     added: list[str] = field(default_factory=list)     # cells only in current
 
     @property
-    def breaches(self) -> list[DiffRow]:
-        """Rows whose absolute drift exceeds the threshold."""
-        return [r for r in self.rows if abs(r.drift) > self.threshold]
+    def changed(self) -> list[DiffRow]:
+        """Rows whose value differs between the dumps."""
+        return [r for r in self.rows if r.baseline != r.current]
 
     @property
     def ok(self) -> bool:
-        """True when no component drifted past the threshold and the two
-        dumps cover the same cells."""
-        return not self.breaches and not self.missing and not self.added
+        """True when every component is identical and the two dumps
+        cover the same cells."""
+        return not self.changed and not self.missing and not self.added
 
     def format(self, max_rows: int = 40) -> str:
-        """Human-readable drift table (breaches first, largest drift first)."""
+        """Human-readable table of the differing components (largest
+        relative drift first), then the structural mismatches."""
         from repro.experiments.report import format_rows
-        ordered = sorted(self.rows, key=lambda r: -abs(r.drift))
-        shown = [r for r in ordered if abs(r.drift) > self.threshold]
-        shown += [r for r in ordered if abs(r.drift) <= self.threshold
-                  and r.baseline != r.current]
-        shown = shown[:max_rows]
+        shown = sorted(self.changed, key=lambda r: -abs(r.drift))[:max_rows]
         lines = []
         if shown:
             lines.append(format_rows(
                 ["cell", "component", "baseline", "current", "drift"],
-                [(r.cell, r.component, r.baseline, r.current,
-                  f"{r.drift:+.1%}" + (" !" if abs(r.drift) > self.threshold
-                                       else "")) for r in shown]))
+                [(r.cell, r.component, repr(r.baseline), repr(r.current),
+                  f"{r.drift:+.3e}") for r in shown]))
         else:
             lines.append("no cycle-breakdown drift")
         for cell in self.missing:
@@ -92,8 +81,8 @@ class DiffReport:
         for cell in self.added:
             lines.append(f"new in current run: {cell}")
         verdict = "OK" if self.ok else "REGRESSION"
-        lines.append(f"{verdict}: {len(self.breaches)} component(s) past "
-                     f"{self.threshold:.0%} over {len(self.rows)} compared")
+        lines.append(f"{verdict}: {len(self.changed)} component(s) differ "
+                     f"over {len(self.rows)} compared")
         return "\n".join(lines)
 
 
@@ -105,41 +94,33 @@ def _cell_key(frame: MetricsFrame) -> str:
     return " ".join(parts)
 
 
-def _aggregate(frames: list[MetricsFrame]) -> dict[str, dict[str, float]]:
-    """Sum each cell's components over its frames (plus the budget)."""
-    cells: dict[str, dict[str, float]] = {}
+def _by_frame(frames: list[MetricsFrame]) -> dict[str, dict[str, float]]:
+    """Each frame's components, keyed by cell, loop and occurrence."""
+    seen: Counter = Counter()
+    out: dict[str, dict[str, float]] = {}
     for frame in frames:
-        agg = cells.setdefault(_cell_key(frame),
-                               {c: 0.0 for c in _COMPONENTS} | {"budget": 0.0})
-        agg["span"] += frame.span
-        agg["budget"] += frame.thread_budget
-        for comp, value in frame.breakdown().items():
-            agg[comp] += value
-    return cells
+        key = _cell_key(frame)
+        out[f"{key}#{seen[key]}"] = {c: getattr(frame, c) for c in _COMPONENTS}
+        seen[key] += 1
+    return out
 
 
-def diff_frames(baseline: list[MetricsFrame], current: list[MetricsFrame],
-                threshold: float = DEFAULT_THRESHOLD) -> DiffReport:
+def diff_frames(baseline: list[MetricsFrame],
+                current: list[MetricsFrame]) -> DiffReport:
     """Compare two frame streams; see the module docstring for semantics."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    base_cells = _aggregate(baseline)
-    cur_cells = _aggregate(current)
-    report = DiffReport(threshold=threshold)
+    base_cells = _by_frame(baseline)
+    cur_cells = _by_frame(current)
+    report = DiffReport()
     report.missing = sorted(set(base_cells) - set(cur_cells))
     report.added = sorted(set(cur_cells) - set(base_cells))
     for cell in sorted(set(base_cells) & set(cur_cells)):
         b, c = base_cells[cell], cur_cells[cell]
-        floor = _FLOOR_FRACTION * max(b["budget"], 1.0)
-        for comp in _COMPONENTS:
-            reference = max(b[comp], floor)
-            drift = (c[comp] - b[comp]) / reference
-            report.rows.append(DiffRow(cell, comp, b[comp], c[comp], drift))
+        report.rows.extend(DiffRow(cell, comp, b[comp], c[comp])
+                           for comp in _COMPONENTS)
     return report
 
 
-def diff_metrics_files(baseline_path, current_path,
-                       threshold: float = DEFAULT_THRESHOLD) -> DiffReport:
+def diff_metrics_files(baseline_path, current_path) -> DiffReport:
     """Diff two JSONL dumps on disk (the CLI's entry point)."""
     return diff_frames(load_metrics_jsonl(baseline_path),
-                       load_metrics_jsonl(current_path), threshold)
+                       load_metrics_jsonl(current_path))

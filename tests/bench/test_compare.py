@@ -1,16 +1,15 @@
-"""Perf gate: drift vs noise band, trend rendering, file plumbing."""
+"""Perf gate: drift vs noise band, file plumbing."""
 
 import json
 
 import pytest
 
-from repro.bench.compare import (DEFAULT_TOLERANCE, bench_tolerance,
-                                 compare_entries, compare_files, format_trend)
+from repro.bench.compare import compare_entries, compare_files
 from repro.bench.suite import SCHEMA_VERSION, append_entry, env_fingerprint
 
 
 def entry(results, env=None, stamp=0.0):
-    return {"schema": SCHEMA_VERSION, "suite": "kernels",
+    return {"schema": SCHEMA_VERSION, "suite": "figs",
             "generated_at": stamp, "env": env or env_fingerprint(),
             "results": results}
 
@@ -98,16 +97,10 @@ class TestCompareEntries:
         with pytest.raises(ValueError, match="tolerance"):
             compare_entries(e, e, tolerance=-0.1)
 
-    def test_env_tolerance(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_TOLERANCE", raising=False)
-        assert bench_tolerance() == DEFAULT_TOLERANCE
-        monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "0.5")
-        assert bench_tolerance() == 0.5
-
 
 class TestCompareFiles:
     def test_latest_entries_compared(self, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
+        path = tmp_path / "traj.json"
         append_entry(path, entry({"bfs": stats([9.0])}, stamp=1.0))
         append_entry(path, entry({"bfs": stats([1.0])}, stamp=2.0))
         bare = tmp_path / "current.json"
@@ -119,19 +112,7 @@ class TestCompareFiles:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         e = entry({"bfs": stats([1.0])})
         a.write_text(json.dumps(e))
-        other = dict(e, suite="figs")
+        other = dict(e, suite="kernels")
         b.write_text(json.dumps(other))
         with pytest.raises(ValueError, match="cannot compare suite"):
             compare_files(a, b)
-
-
-class TestTrend:
-    def test_renders_history_and_overall_delta(self, tmp_path):
-        path = tmp_path / "BENCH_kernels.json"
-        append_entry(path, entry({"bfs": stats([1.0])}, stamp=1.0))
-        append_entry(path, entry({"bfs": stats([1.5])}, stamp=2.0))
-        from repro.bench.suite import load_trajectory
-        out = format_trend(load_trajectory(path))
-        assert "2 entries" in out
-        assert "1.0000 -> 1.5000" in out
-        assert "+50.0%" in out

@@ -1,102 +1,119 @@
-"""Benchmark registry, pinned environments and trajectory files."""
+"""Benchmark suites, pinned environments and the trajectory file."""
 
 import json
+import math
 import os
 
 import pytest
 
-from repro.bench.suite import (BENCHMARKS, SCHEMA_VERSION, SUITES,
-                               append_entry, env_fingerprint,
-                               load_trajectory, run_suite, suite_benchmarks,
-                               suite_names, trajectory_path, validate_entry)
+from repro.bench.suite import (KERNEL_CELLS, SCHEMA_VERSION, SUITES,
+                               Benchmark, _pinned_env, append_entry,
+                               env_fingerprint, load_trajectory, run_suite,
+                               suite_benchmarks, validate_entry)
 from repro.bench.timer import FakeClock
+from repro.campaign.spec import CellSpec
 
 
-def fake_entry(suite="campaign", median=1.0, stamp=0.0):
+def fake_entry(suite="figs", median=1.0, stamp=0.0):
     """A synthetic schema-valid entry (no benchmark execution)."""
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
         "generated_at": stamp,
         "env": env_fingerprint(),
-        "results": {"executor-dispatch": {
+        "results": {"fig1": {
             "median_s": median, "mean_s": median, "min_s": median,
             "max_s": median, "spread": 0.0, "repeat": 1, "warmup": 0,
             "samples_s": [median]}},
     }
 
 
+@pytest.fixture
+def noop_figs(monkeypatch):
+    """The figs suite reduced to one no-op entry that prints a line."""
+    calls = []
+
+    def noop():
+        calls.append(1)
+        print("panel output")
+
+    monkeypatch.setitem(SUITES, "figs", (Benchmark("noop", noop, "no-op"),))
+    return calls
+
+
 class TestRegistry:
     def test_expected_suites(self):
-        assert suite_names() == ["campaign", "figs", "graphs", "kernels"]
-
-    def test_graphs_suite_covers_cold_and_warm_paths(self):
-        assert SUITES["graphs"] == ["graphs-cold-build", "graphs-warm-load"]
+        assert sorted(SUITES) == ["figs", "kernels"]
 
     def test_figs_suite_covers_all_four_figures(self):
-        assert SUITES["figs"] == ["fig1", "fig2", "fig3", "fig4"]
+        assert [b.name for b in SUITES["figs"]] \
+            == ["fig1", "fig2", "fig3", "fig4"]
 
     def test_kernels_suite_covers_all_three_kernels(self):
-        assert set(SUITES["kernels"]) == {"coloring", "bfs", "irregular"}
+        assert [b.name for b in SUITES["kernels"]] \
+            == ["coloring", "bfs", "irregular"]
+        assert KERNEL_CELLS == (
+            CellSpec("coloring", "pwtk", "OpenMP-dynamic", 31),
+            CellSpec("bfs", "pwtk", "OpenMP-Block-relaxed", 31),
+            CellSpec("irregular", "auto", "OpenMP", 31,
+                     params=(("iterations", 5),)))
 
     def test_every_benchmark_described(self):
-        assert all(b.description for b in BENCHMARKS.values())
+        assert all(b.description for benches in SUITES.values()
+                   for b in benches)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
             suite_benchmarks("nope")
 
     def test_filter_narrows(self):
-        assert [b.name for b in suite_benchmarks("campaign", "store")] \
-            == ["store-hits"]
+        assert [b.name for b in suite_benchmarks("kernels", "bfs")] \
+            == ["bfs"]
 
     def test_filter_matching_nothing_rejected(self):
         with pytest.raises(ValueError, match="matches no benchmark"):
-            suite_benchmarks("campaign", "zzz")
-
-    def test_env_filter_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FILTER", "executor")
-        assert [b.name for b in suite_benchmarks("campaign")] \
-            == ["executor-dispatch"]
+            suite_benchmarks("kernels", "zzz")
 
 
 class TestRunSuite:
-    def test_campaign_suite_entry_schema(self):
-        entry = run_suite("campaign", repeat=2, warmup=0,
-                          clock=FakeClock(), stamp=lambda: 123.0)
+    def test_figs_suite_entry_schema(self, noop_figs):
+        entry = run_suite(repeat=2, warmup=0, clock=FakeClock(),
+                          stamp=lambda: 123.0)
         validate_entry(entry)
-        assert entry["suite"] == "campaign"
+        assert entry["suite"] == "figs"
         assert entry["generated_at"] == 123.0
-        assert set(entry["results"]) == {"executor-dispatch", "store-hits"}
-        for stats in entry["results"].values():
-            assert stats["median_s"] == 1.0  # FakeClock: one step per run
-            assert stats["repeat"] == 2
+        assert set(entry["results"]) == {"noop"}
+        stats = entry["results"]["noop"]
+        assert stats["median_s"] == 1.0  # FakeClock: one step per run
+        assert stats["repeat"] == 2
+        assert len(noop_figs) == 2
 
     def test_kernels_suite_runs_every_kernel(self):
-        # Runs each kernel benchmark once, so a changed kernel signature
-        # breaks here rather than in ``repro bench``.
-        entry = run_suite("kernels", repeat=1, warmup=0, clock=FakeClock(),
-                          stamp=lambda: 0.0)
-        assert set(entry["results"]) == {"coloring", "bfs", "irregular"}
+        # Runs each kernel cell once, so a changed runner signature
+        # breaks here rather than in ``repro bench profile``.
+        for bench in SUITES["kernels"]:
+            cycles = bench.fn()
+            assert math.isfinite(cycles) and cycles > 0, bench.name
 
-    def test_progress_callback_fires_per_benchmark(self):
+    def test_progress_callback_fires_per_benchmark(self, noop_figs):
         lines = []
-        run_suite("campaign", repeat=1, warmup=0, clock=FakeClock(),
-                  stamp=lambda: 0.0, name_filter="executor",
+        run_suite(repeat=1, warmup=0, clock=FakeClock(), stamp=lambda: 0.0,
                   progress=lines.append)
         assert len(lines) == 2  # announce + result
-        assert "executor-dispatch" in lines[0]
+        assert "noop" in lines[0]
 
-    def test_benchmark_stdout_swallowed(self, capsys):
-        run_suite("campaign", repeat=1, warmup=0, clock=FakeClock(),
-                  stamp=lambda: 0.0, name_filter="executor")
+    def test_benchmark_stdout_swallowed(self, noop_figs, capsys):
+        run_suite(repeat=1, warmup=0, clock=FakeClock(), stamp=lambda: 0.0)
         assert capsys.readouterr().out == ""
 
     def test_environment_restored_after_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "/tmp/somewhere")
-        run_suite("campaign", repeat=1, warmup=0, clock=FakeClock(),
-                  stamp=lambda: 0.0, name_filter="executor")
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        with _pinned_env({"REPRO_FAST": "1"}):
+            assert "REPRO_STORE" not in os.environ
+            assert os.environ["REPRO_FAST"] == "1"
         assert os.environ["REPRO_STORE"] == "/tmp/somewhere"
+        assert "REPRO_FAST" not in os.environ
 
     def test_env_fingerprint_fields(self):
         env = env_fingerprint()
@@ -136,11 +153,12 @@ class TestValidateEntry:
 
 class TestTrajectory:
     def test_default_path(self):
-        assert trajectory_path("figs", "/x") == os.path.join("/x",
-                                                             "BENCH_figs.json")
+        from repro.bench.cli import build_parser
+        assert build_parser().parse_args(["run"]).trajectory \
+            == "BENCH_figs.json"
 
     def test_append_creates_then_extends(self, tmp_path):
-        path = tmp_path / "BENCH_campaign.json"
+        path = tmp_path / "traj.json"
         append_entry(path, fake_entry(stamp=1.0))
         data = append_entry(path, fake_entry(stamp=2.0))
         assert len(data["entries"]) == 2
@@ -148,10 +166,10 @@ class TestTrajectory:
         assert [e["generated_at"] for e in loaded["entries"]] == [1.0, 2.0]
 
     def test_append_refuses_suite_mismatch(self, tmp_path):
-        path = tmp_path / "BENCH_campaign.json"
-        append_entry(path, fake_entry(suite="campaign"))
+        path = tmp_path / "traj.json"
+        append_entry(path, fake_entry(suite="figs"))
         with pytest.raises(ValueError, match="refusing to append"):
-            append_entry(path, fake_entry(suite="figs"))
+            append_entry(path, fake_entry(suite="kernels"))
 
     def test_bytes_stable_for_same_entries(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -164,7 +182,7 @@ class TestTrajectory:
         path = tmp_path / "entry.json"
         path.write_text(json.dumps(fake_entry()))
         data = load_trajectory(path)
-        assert data["suite"] == "campaign"
+        assert data["suite"] == "figs"
         assert len(data["entries"]) == 1
 
     def test_garbage_rejected(self, tmp_path):

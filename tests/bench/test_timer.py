@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.timer import (DEFAULT_REPEAT, DEFAULT_WARMUP, FakeClock,
-                               Sample, bench_repeat, bench_warmup, measure)
+                               Sample, measure)
 
 
 class TestFakeClock:
@@ -70,16 +70,9 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(lambda: None, repeat=1, warmup=-1)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_REPEAT", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_WARMUP", raising=False)
-        assert bench_repeat() == DEFAULT_REPEAT
-        assert bench_warmup() == DEFAULT_WARMUP
-        monkeypatch.setenv("REPRO_BENCH_REPEAT", "2")
-        monkeypatch.setenv("REPRO_BENCH_WARMUP", "0")
-        assert bench_repeat() == 2
-        assert bench_warmup() == 0
+    def test_defaults(self):
         calls = []
         sample = measure(lambda: calls.append(1), clock=FakeClock())
-        assert sample.repeat == 2
-        assert len(calls) == 2  # no warmup runs
+        assert sample.repeat == DEFAULT_REPEAT
+        assert sample.warmup == DEFAULT_WARMUP
+        assert len(calls) == DEFAULT_REPEAT + DEFAULT_WARMUP

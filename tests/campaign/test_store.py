@@ -309,7 +309,7 @@ class TestCrashPoints:
             self.inject(m, step)
             with pytest.raises(OSError, match="injected crash"):
                 store.put(SPEC, 2.0)
-        assert os.path.exists(path + ".tmp")
+        assert os.path.exists(f"{path}.{os.getpid()}.tmp")
 
         fresh = ResultStore(tmp_path)
         assert fresh.get(SPEC) == (1.0 if existing else None)
@@ -321,7 +321,7 @@ class TestCrashPoints:
 
         fresh.put(SPEC, 3.0)
         assert ResultStore(tmp_path).get(SPEC) == 3.0
-        assert not os.path.exists(path + ".tmp")
+        assert not os.path.exists(f"{path}.{os.getpid()}.tmp")
         assert fresh.verify().clean
 
 

@@ -20,6 +20,7 @@ class TestDegradationPanels:
     def test_intensity_axis(self, panels):
         for p in panels.values():
             assert p.thread_counts == INTENSITIES
+            assert p.axis == "intensity"
 
     def test_healthy_baseline_is_one(self, panels):
         from repro.experiments.fig_faults import FAULT_RUNTIMES

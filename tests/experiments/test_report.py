@@ -32,6 +32,16 @@ class TestFormatPanel:
         assert "3.50" in out
         assert "peaks: v: 3.5@4t" in out
 
+    def test_intensity_axis_labels_header_and_peaks(self):
+        panel = PanelResult(title="faults", thread_counts=[0, 50],
+                            axis="intensity",
+                            series={"v": np.array([1.0, 0.5])})
+        header, _, first, _ = format_panel(panel).splitlines()[1:5]
+        assert header.split() == ["intensity", "%", "v"]
+        assert first.split() == ["0", "1.00"]
+        assert "peaks: v: 1.0@0%" in format_panel(panel)
+        assert "threads" not in format_panel(panel)
+
     def test_notes_included(self):
         panel = PanelResult(title="demo", thread_counts=[1],
                             series={"v": np.array([1.0])}, notes="hello")

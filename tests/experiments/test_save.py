@@ -28,6 +28,9 @@ class TestRoundTrip:
         assert np.allclose(q.per_graph[("A", "g2")], p.per_graph[("A", "g2")])
         assert q.baselines == p.baselines
         assert q.notes == "n"
+        assert q.axis == "threads"
+        p.axis = "intensity"
+        assert panel_from_dict(panel_to_dict(p)).axis == "intensity"
 
     def test_file_roundtrip_single(self, tmp_path):
         path = tmp_path / "p.json"
