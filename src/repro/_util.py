@@ -23,9 +23,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = ["rng_from_seed", "check_positive", "check_nonnegative",
-           "as_int_array", "atomic_write_text", "canonical_json",
-           "sha256_hex", "content_checksum", "backoff_delay", "env_float",
-           "env_int", "env_bool", "env_str", "env_csv"]
+           "as_int_array", "atomic_write_text", "fsync_parent_dir",
+           "canonical_json", "sha256_hex", "content_checksum",
+           "backoff_delay", "env_float", "env_int", "env_bool", "env_str",
+           "env_csv"]
 
 
 def canonical_json(obj: object) -> str:
@@ -102,6 +103,13 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fsync_parent_dir(path)
+
+
+def fsync_parent_dir(path: str) -> None:
+    """``fsync`` the directory holding *path*, so a rename that just
+    published *path* survives a power failure (the step after every
+    ``os.replace`` of the tmp→fsync→replace protocol)."""
     dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(dir_fd)

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._util import fsync_parent_dir
 from repro.graph.csr import CSRGraph
 
 __all__ = ["RGRError", "RGRHeader", "MAGIC", "FORMAT_VERSION", "HEADER_SIZE",
@@ -103,7 +104,9 @@ def save_graph(path: str | os.PathLike[str], graph: CSRGraph) -> str:
 
     The tmp name carries the PID so two processes racing to build the
     same registry entry each write their own tmp and the last
-    ``os.replace`` wins with a complete file either way.
+    ``os.replace`` wins with a complete file either way.  The order is
+    that of :func:`repro._util.atomic_write_text`: fsync the tmp file,
+    replace, then fsync the parent directory.
     """
     path = os.fspath(path)
     indptr = np.ascontiguousarray(graph.indptr, dtype="<i8")
@@ -130,6 +133,7 @@ def save_graph(path: str | os.PathLike[str], graph: CSRGraph) -> str:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fsync_parent_dir(path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -11,7 +11,7 @@ import ast
 from typing import Iterator
 
 __all__ = ["add_parents", "parent", "ancestors", "same_expr",
-           "import_bound_names", "walk_calls", "is_none_check",
+           "import_bound_names", "calls_in", "is_none_check",
            "guards_with_not_none", "call_name", "const_str",
            "HANDLE_NAMES", "handle_base"]
 
@@ -22,11 +22,14 @@ HANDLE_NAMES = ("trace", "_trace", "check", "_check", "tracer")
 _PARENT = "_repro_lint_parent"
 
 
-def add_parents(tree: ast.AST) -> None:
-    """Attach a parent pointer to every node (idempotent)."""
-    for node in ast.walk(tree):
+def add_parents(tree: ast.AST) -> list[ast.AST]:
+    """Attach a parent pointer to every node (idempotent); return every
+    node in ``ast.walk`` order, the list the rules iterate."""
+    nodes = list(ast.walk(tree))
+    for node in nodes:
         for child in ast.iter_child_nodes(node):
             setattr(child, _PARENT, node)
+    return nodes
 
 
 def parent(node: ast.AST) -> ast.AST | None:
@@ -54,14 +57,14 @@ def same_expr(a: ast.AST, b: ast.AST) -> bool:
     return ast.dump(a) == ast.dump(b)
 
 
-def import_bound_names(tree: ast.Module) -> set[str]:
+def import_bound_names(nodes: list[ast.AST]) -> set[str]:
     """Names bound at module level by ``import`` / ``from ... import``.
 
     Rules use this to tell a module alias (``from repro.check import
     checker as _check``) apart from a same-named instance handle.
     """
     bound: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound.add(alias.asname or alias.name.split(".")[0])
@@ -71,9 +74,9 @@ def import_bound_names(tree: ast.Module) -> set[str]:
     return bound
 
 
-def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    """All Call nodes in *tree*."""
-    for node in ast.walk(tree):
+def calls_in(nodes: list[ast.AST]) -> Iterator[ast.Call]:
+    """The Call nodes among *nodes*."""
+    for node in nodes:
         if isinstance(node, ast.Call):
             yield node
 

@@ -1,9 +1,7 @@
 """``repro lint`` — drive the AST invariant checker from the shell.
 
-Exit status is 1 only when *new* error-severity findings exist (not
-suppressed inline, not in the baseline); warnings and grandfathered
-findings print but never fail the run, so the gate is strict without
-blocking incremental cleanup.
+Exit status is 1 only when error-severity findings exist that no
+inline suppression covers; warnings print but never fail the run.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ import sys
 import time
 from typing import Sequence
 
-from repro._util import atomic_write_text, canonical_json
-from repro.lint import baseline as baseline_mod
+from repro._util import atomic_write_text
 from repro.lint import formats as formats_mod
 from repro.lint.engine import LintResult, lint_paths, rule_table
 from repro.lint.envdoc import render_env_md
@@ -58,33 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "<root>/src/repro, benchmarks, examples)")
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=formats_mod.FORMATS,
-                        help="report style: text (human), github "
-                             "(Actions annotations), sarif (2.1.0 "
-                             "document on stdout)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="phase-1 worker processes (default: "
-                             "REPRO_LINT_JOBS, else min(8, cpus); "
-                             "output is identical for any value)")
+                        help="report style: text (human) or github "
+                             "(Actions annotations)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: walk up to "
                              "pyproject.toml)")
     parser.add_argument("--json", dest="json_path", default=None,
                         metavar="PATH",
                         help="write the full machine-readable report "
-                             "('-' for stdout)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file (default: "
-                             "<root>/lint_baseline.json)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline; report everything")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="record current new findings into the "
-                             "baseline (requires --reason)")
-    parser.add_argument("--reason", default="",
-                        help="written rationale stored with "
-                             "--update-baseline entries")
-    parser.add_argument("--env-registry", default=None, metavar="PATH",
-                        help="write the env-var registry as JSON "
                              "('-' for stdout)")
     parser.add_argument("--write-env-md", default=None, metavar="PATH",
                         help="regenerate the ENV.md table and exit")
@@ -103,18 +81,11 @@ def _print_report(result: LintResult, elapsed: float,
     if not quiet:
         for finding in result.findings:
             print(finding.format())
-        if result.stale_baseline:
-            for entry in result.stale_baseline:
-                print(f"note: baseline entry {entry.fingerprint} "
-                      f"({entry.rule} in {entry.path}) no longer "
-                      "matches; prune it with --update-baseline")
     n_err = len(result.errors)
     n_warn = len(result.findings) - n_err
     print(f"repro lint: {result.files_checked} files, "
           f"{n_err} error(s), {n_warn} warning(s), "
-          f"{len(result.suppressed)} suppressed, "
-          f"{len(result.baselined)} baselined "
-          f"[{elapsed:.2f}s]")
+          f"{len(result.suppressed)} suppressed [{elapsed:.2f}s]")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -128,14 +99,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     paths = [os.path.abspath(p) for p in args.paths] \
         or default_paths(root)
 
-    baseline_path: str | None
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = os.path.abspath(args.baseline)
-    else:
-        baseline_path = os.path.join(root, baseline_mod.BASELINE_NAME)
-
     env_doc: str | None
     if args.env_doc == "none":
         env_doc = None
@@ -148,8 +111,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         env_doc = None
 
     start = time.perf_counter()
-    result = lint_paths(paths, root=root, baseline_path=baseline_path,
-                        env_doc_path=env_doc, jobs=args.jobs)
+    result = lint_paths(paths, root=root, env_doc_path=env_doc)
     elapsed = time.perf_counter() - start
 
     if args.write_env_md is not None:
@@ -159,13 +121,6 @@ def main(argv: Sequence[str] | None = None) -> int:
               f"({len(result.env_registry)} variables)")
         return 0
 
-    if args.env_registry is not None:
-        payload = canonical_json(result.env_registry) + "\n"
-        if args.env_registry == "-":
-            sys.stdout.write(payload)
-        else:
-            atomic_write_text(args.env_registry, payload)
-
     if args.json_path is not None:
         payload = json.dumps(result.to_dict(), indent=2,
                              sort_keys=True) + "\n"
@@ -174,31 +129,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             atomic_write_text(args.json_path, payload)
 
-    if args.update_baseline:
-        if not args.reason.strip():
-            print("error: --update-baseline requires --reason "
-                  "(grandfathering is documentation, not amnesty)",
-                  file=sys.stderr)
-            return 2
-        if baseline_path is None:
-            print("error: --update-baseline conflicts with "
-                  "--no-baseline", file=sys.stderr)
-            return 2
-        kept = [e for fp, e in
-                sorted(baseline_mod.load_baseline(baseline_path).items())
-                if fp not in {s.fingerprint for s in
-                              result.stale_baseline}]
-        new = baseline_mod.entries_for(result.errors,
-                                       args.reason.strip())
-        baseline_mod.save_baseline(baseline_path, kept + new)
-        print(f"baseline updated: {len(new)} added, "
-              f"{len(result.stale_baseline)} pruned, "
-              f"{len(kept)} kept")
-        return 0
-
-    if args.fmt == "sarif":
-        sys.stdout.write(formats_mod.format_sarif(result))
-    elif args.fmt == "github":
+    if args.fmt == "github":
         sys.stdout.write(formats_mod.format_github(result))
         _print_report(result, elapsed, quiet=True)
     else:

@@ -1,7 +1,7 @@
 """Per-function effect summaries: the phase-1 data of whole-program lint.
 
 One :class:`FunctionSummary` per ``def``/``async def`` captures, as
-plain picklable data (no AST nodes survive), everything the phase-2
+plain data (no AST nodes survive), everything the phase-2
 cross-module rules reason about:
 
 * every call site, with enough of the callee expression to resolve it

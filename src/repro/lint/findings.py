@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro._util import sha256_hex
+from dataclasses import dataclass
 
 __all__ = ["SEV_ERROR", "SEV_WARNING", "SEVERITIES", "ChainHop",
            "Finding", "render_chain"]
 
-#: A finding that fails ``repro lint`` (exit 1) unless suppressed inline
-#: or grandfathered in the committed baseline.
+#: A finding that fails ``repro lint`` (exit 1) unless suppressed inline.
 SEV_ERROR = "error"
 #: Reported but never fails the run (style-level and heuristic rules).
 SEV_WARNING = "warning"
@@ -46,15 +43,7 @@ def render_chain(chain: tuple[ChainHop, ...]) -> str:
 
 @dataclass
 class Finding:
-    """One rule violation at a source location.
-
-    ``fingerprint`` identifies the finding across edits for baseline
-    matching: it hashes the rule id, the file path, the *content* of the
-    offending line and the occurrence index among identical lines — so
-    inserting unrelated lines above does not orphan a baseline entry,
-    while editing the offending line itself does (and forces the entry
-    to be re-justified).
-    """
+    """One rule violation at a source location."""
 
     rule: str
     path: str          # repo-root-relative, posix separators
@@ -62,27 +51,14 @@ class Finding:
     message: str
     severity: str = SEV_ERROR
     snippet: str = ""  # stripped source of the offending line
-    occurrence: int = 0
     suppressed: bool = False
     suppress_reason: str = ""
-    baselined: bool = False
-    fingerprint: str = field(default="", compare=False)
-    #: Cross-module evidence, anchor-first.  Excluded from the
-    #: fingerprint on purpose: the anchor (rule + path + snippet) stays
-    #: stable when a *callee* moves between files, so baselines survive
-    #: refactors of helpers.
+    #: Cross-module evidence, anchor-first.
     chain: tuple[ChainHop, ...] = ()
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
-
-    def compute_fingerprint(self) -> str:
-        """Stable identity: rule + path + line content + occurrence."""
-        key = f"{self.rule}\x00{self.path}\x00{self.snippet}" \
-              f"\x00{self.occurrence}"
-        self.fingerprint = sha256_hex(key)[:16]
-        return self.fingerprint
 
     def location(self) -> str:
         """``path:line`` as editors expect it."""
@@ -94,7 +70,7 @@ class Finding:
                 f"{self.rule}: {self.message}")
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready representation (``--json`` output, baseline files)."""
+        """JSON-ready representation (the ``--json`` output)."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -102,9 +78,7 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "chain": [{"path": h.path, "line": h.line, "note": h.note}
                       for h in self.chain],
         }

@@ -1,44 +1,24 @@
-"""Machine-readable lint report formats: GitHub annotations and SARIF.
+"""The ``github`` lint report format: GitHub Actions annotations.
 
-Two renderings of a :class:`~repro.lint.engine.LintResult` for CI
-surfaces:
-
-* ``github`` — GitHub Actions workflow commands (``::error file=…``),
-  one line per actionable finding, which the Actions runner turns into
-  inline PR annotations.  The CI lint step runs with
-  ``--format=github`` so a cross-module finding shows up *on the line
-  that anchors it*, with the full call chain in the message.
-* ``sarif`` — a SARIF 2.1.0 document.  Call-chain evidence maps onto
-  ``relatedLocations`` (one per hop, in order), and the engine's
-  content fingerprint is exported as a ``partialFingerprints`` entry so
-  SARIF consumers track findings across commits exactly like the
-  committed baseline does.
-
-Both renderers are pure functions of the result — no I/O — and emit
-keys in sorted order so output is byte-deterministic, matching the
-engine's own determinism contract.
+GitHub Actions workflow commands (``::error file=…``), one line per
+actionable finding, which the Actions runner turns into inline PR
+annotations.  The CI lint step runs with ``--format=github`` so a
+cross-module finding shows up *on the line that anchors it*, with the
+full call chain in the message.  The renderer is a pure function of the
+:class:`~repro.lint.engine.LintResult` — no I/O.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.lint.engine import LintResult
-from repro.lint.findings import SEV_ERROR, Finding
-from repro.lint.registry import all_rules
+from repro.lint.findings import SEV_ERROR
 
-__all__ = ["format_github", "format_sarif", "FORMATS"]
+__all__ = ["format_github", "FORMATS"]
 
 #: Accepted ``repro lint --format`` values (``text`` is the default
 #: human report rendered by the CLI itself).
-FORMATS = ("text", "github", "sarif")
+FORMATS = ("text", "github")
 
-#: Version stamped into the partialFingerprints key; bump when the
-#: fingerprint recipe in :mod:`repro.lint.findings` changes shape.
-_FINGERPRINT_KEY = "reproLint/v1"
-
-
-# ----- GitHub workflow commands --------------------------------------------
 
 def _escape_data(text: str) -> str:
     """Escape a workflow-command message (order matters: ``%`` first)."""
@@ -65,60 +45,3 @@ def format_github(result: LintResult) -> str:
             f"title={_escape_property(finding.rule)}::"
             f"{_escape_data(finding.message)}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----- SARIF 2.1.0 ---------------------------------------------------------
-
-def _sarif_result(finding: Finding) -> dict[str, object]:
-    out: dict[str, object] = {
-        "ruleId": finding.rule,
-        "level": "error" if finding.severity == SEV_ERROR else "warning",
-        "message": {"text": finding.message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": finding.path},
-                "region": {"startLine": finding.line},
-            },
-        }],
-    }
-    if finding.fingerprint:
-        out["partialFingerprints"] = {
-            _FINGERPRINT_KEY: finding.fingerprint}
-    if finding.chain:
-        out["relatedLocations"] = [{
-            "id": i,
-            "physicalLocation": {
-                "artifactLocation": {"uri": hop.path},
-                "region": {"startLine": hop.line},
-            },
-            "message": {"text": hop.note or f"{hop.path}:{hop.line}"},
-        } for i, hop in enumerate(finding.chain)]
-    return out
-
-
-def format_sarif(result: LintResult) -> str:
-    """One-run SARIF 2.1.0 document covering the actionable findings."""
-    doc = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro lint",
-                    "informationUri":
-                        "https://github.com/repro/repro",
-                    "rules": [{
-                        "id": spec.id,
-                        "shortDescription": {"text": spec.description},
-                        "defaultConfiguration": {
-                            "level": "error"
-                            if spec.severity == SEV_ERROR
-                            else "warning"},
-                    } for spec in all_rules()],
-                },
-            },
-            "results": [_sarif_result(f) for f in result.findings],
-        }],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,13 +1,8 @@
 """The project-wide index behind :mod:`repro.lint` phase 2.
 
-Phase 1 turns every source file into a picklable :class:`FilePayload`
+Phase 1 turns every source file into a :class:`FilePayload`
 (per-module findings + suppressions + env uses + a
-:class:`ModuleSummary` of symbols and per-function effects).  Payload
-construction is embarrassingly parallel — the engine fans it out over a
-process pool — and cacheable: payloads are pickled under
-``<root>/.repro-lint-cache/`` keyed by the source digest plus a
-fingerprint of the lint package itself, so a warm run re-parses only
-files whose content (or whose analyzer) changed.
+:class:`ModuleSummary` of symbols and per-function effects).
 
 Phase 2 merges the payloads into a :class:`ProjectIndex` — module
 table, class table, declared AccessSet footprints — over which
@@ -18,19 +13,14 @@ cross-module rule families run.
 from __future__ import annotations
 
 import ast
-import os
-import pickle
 from dataclasses import dataclass, field
 
-from repro._util import sha256_hex
+from repro.lint.astutil import calls_in, const_str
 from repro.lint.effects import FunctionSummary, extract_functions
+from repro.lint.registry import ModuleContext
 
 __all__ = ["ClassSummary", "ModuleSummary", "FilePayload", "ProjectIndex",
-           "summarize_module", "build_index", "module_name_for",
-           "lint_code_fingerprint", "cache_load", "cache_store",
-           "CACHE_DIR_NAME"]
-
-CACHE_DIR_NAME = ".repro-lint-cache"
+           "summarize_module", "build_index", "module_name_for"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +50,7 @@ class ModuleSummary:
 
 @dataclass
 class FilePayload:
-    """Everything phase 1 produces for one file (picklable)."""
+    """Everything phase 1 produces for one file."""
 
     relpath: str
     lines: list[str]
@@ -94,7 +84,7 @@ def module_name_for(relpath: str) -> str:
     return ".".join(parts)
 
 
-def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
+def _import_map(nodes: list[ast.AST], module: str) -> dict[str, str]:
     """Local alias → fully dotted target for module-level imports.
 
     ``import os`` → ``{"os": "os"}``; ``from repro.campaign.spec import
@@ -102,8 +92,7 @@ def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
     relative imports resolve against *module*'s package.
     """
     out: dict[str, str] = {}
-    package = module.rsplit(".", 1)[0] if "." in module else ""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -129,15 +118,14 @@ def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
     return out
 
 
-def _declared_arrays(tree: ast.Module) -> tuple[frozenset[str],
-                                                frozenset[str], bool]:
+def _declared_arrays(nodes: list[ast.AST]) -> tuple[frozenset[str],
+                                                    frozenset[str], bool]:
     """String-literal array names of ``.writes(...)`` and of
     ``.benign_race(...)`` in AccessSet builder chains, and whether the
     module builds an AccessSet at all."""
-    from repro.lint.astutil import const_str, walk_calls
     declared: dict[str, set[str]] = {"writes": set(), "benign_race": set()}
     uses = False
-    for call in walk_calls(tree):
+    for call in calls_in(nodes):
         func = call.func
         if isinstance(func, ast.Name) and func.id == "AccessSet":
             uses = True
@@ -150,11 +138,11 @@ def _declared_arrays(tree: ast.Module) -> tuple[frozenset[str],
             frozenset(declared["benign_race"]), uses)
 
 
-def summarize_module(tree: ast.Module, relpath: str,
-                     import_bound: set[str]) -> ModuleSummary:
+def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     """Build the :class:`ModuleSummary` for one parsed module."""
+    tree, relpath = ctx.tree, ctx.relpath
     module = module_name_for(relpath)
-    functions = extract_functions(tree, import_bound)
+    functions = extract_functions(tree, ctx.import_bound)
     classes: dict[str, ClassSummary] = {}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -171,9 +159,10 @@ def summarize_module(tree: ast.Module, relpath: str,
                 pass
         classes[node.name] = ClassSummary(
             name=node.name, bases=tuple(bases), methods=methods)
-    writes, benign, uses = _declared_arrays(tree)
+    writes, benign, uses = _declared_arrays(ctx.nodes)
     return ModuleSummary(
-        relpath=relpath, module=module, imports=_import_map(tree, module),
+        relpath=relpath, module=module,
+        imports=_import_map(ctx.nodes, module),
         classes=classes, functions=functions, declared_writes=writes,
         benign_races=benign, uses_access_sets=uses)
 
@@ -213,72 +202,3 @@ def build_index(payloads: list[FilePayload]) -> ProjectIndex:
         index.by_module_name.setdefault(payload.summary.module,
                                         payload.relpath)
     return index
-
-
-# ----- payload cache -------------------------------------------------------
-
-_CODE_FINGERPRINT: str | None = None
-
-
-def lint_code_fingerprint() -> str:
-    """Digest of the lint package source: cache-salt so every analyzer
-    change invalidates every cached payload."""
-    global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is not None:
-        return _CODE_FINGERPRINT
-    pkg_dir = os.path.dirname(os.path.abspath(__file__))
-    chunks: list[bytes] = []
-    for dirpath, dirnames, filenames in os.walk(pkg_dir):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for fn in sorted(filenames):
-            if not fn.endswith(".py"):
-                continue
-            full = os.path.join(dirpath, fn)
-            with open(full, "rb") as fh:
-                chunks.append(os.path.relpath(full, pkg_dir)
-                              .encode("utf-8"))
-                chunks.append(fh.read())
-    _CODE_FINGERPRINT = sha256_hex(b"\x00".join(chunks))[:16]
-    return _CODE_FINGERPRINT
-
-
-def _cache_path(cache_dir: str, relpath: str) -> str:
-    return os.path.join(cache_dir, f"{sha256_hex(relpath)[:24]}.pkl")
-
-
-def cache_key(source: bytes) -> str:
-    """The validity key of a payload: source digest + analyzer digest."""
-    return f"{sha256_hex(source)[:24]}:{lint_code_fingerprint()}"
-
-
-def cache_load(cache_dir: str | None, relpath: str,
-               key: str) -> FilePayload | None:
-    """The cached payload for *relpath* if it matches *key*, else None."""
-    if not cache_dir:
-        return None
-    try:
-        with open(_cache_path(cache_dir, relpath), "rb") as fh:
-            stored_key, payload = pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, ValueError,
-            AttributeError, ImportError):
-        return None
-    if stored_key != key or not isinstance(payload, FilePayload):
-        return None
-    return payload
-
-
-def cache_store(cache_dir: str | None, relpath: str, key: str,
-                payload: FilePayload) -> None:
-    """Persist *payload*; failures are silent (cache is best-effort)."""
-    if not cache_dir:
-        return
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = _cache_path(cache_dir, relpath)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump((key, payload), fh,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except OSError:                  # pragma: no cover - best-effort
-        pass

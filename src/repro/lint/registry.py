@@ -94,6 +94,7 @@ class ModuleContext:
     path: str              # absolute
     relpath: str           # repo-root-relative, posix separators
     tree: ast.Module
+    nodes: list[ast.AST]   # every node of *tree*, in ast.walk order
     lines: list[str]       # raw source lines (1-based via line_at)
     import_bound: set[str]
     project: Project

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import call_name, parent, walk_calls
+from repro.lint.astutil import call_name, calls_in, parent
 from repro.lint.findings import SEV_ERROR, SEV_WARNING, Finding
 from repro.lint.registry import SIM_SCOPE, ModuleContext, rule
 
@@ -28,10 +28,10 @@ _SEEDED_NP_ATTRS = {"Generator", "SeedSequence", "BitGenerator", "PCG64",
                     "Philox", "default_rng"}
 
 
-def _bound_aliases(tree: ast.Module, modules: set[str]) -> set[str]:
+def _bound_aliases(nodes: list[ast.AST], modules: set[str]) -> set[str]:
     """Local names that refer to any of *modules* via import."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] in modules:
@@ -49,10 +49,10 @@ def _bound_aliases(tree: ast.Module, modules: set[str]) -> set[str]:
       scope=SIM_SCOPE)
 def check_wallclock(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag any call through a name bound from ``time``/``datetime``."""
-    aliases = _bound_aliases(ctx.tree, _WALLCLOCK_MODULES)
+    aliases = _bound_aliases(ctx.nodes, _WALLCLOCK_MODULES)
     if not aliases:
         return
-    for call in walk_calls(ctx.tree):
+    for call in calls_in(ctx.nodes):
         func = call.func
         base: ast.expr | None = None
         if isinstance(func, ast.Attribute):
@@ -76,8 +76,8 @@ def check_wallclock(ctx: ModuleContext) -> Iterator[Finding]:
 def check_unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag ``default_rng()`` with no seed, stdlib ``random`` use, and
     legacy ``np.random.<draw>()`` calls on the hidden global state."""
-    random_aliases = _bound_aliases(ctx.tree, {"random"})
-    for call in walk_calls(ctx.tree):
+    random_aliases = _bound_aliases(ctx.nodes, {"random"})
+    for call in calls_in(ctx.nodes):
         func = call.func
         name = call_name(call)
         if name == "default_rng" and not call.args and not call.keywords:
@@ -119,8 +119,8 @@ def check_unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
       scope=SIM_SCOPE)
 def check_urandom(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag ``os.urandom`` and any call through the ``secrets`` module."""
-    secrets_aliases = _bound_aliases(ctx.tree, {"secrets"})
-    for call in walk_calls(ctx.tree):
+    secrets_aliases = _bound_aliases(ctx.nodes, {"secrets"})
+    for call in calls_in(ctx.nodes):
         func = call.func
         if isinstance(func, ast.Attribute) and func.attr == "urandom" \
                 and isinstance(func.value, ast.Name) \
@@ -153,7 +153,7 @@ def _is_set_expr(node: ast.expr) -> bool:
 def check_set_order(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag for-loops/comprehensions over set expressions and
     ``list(set(...))`` / ``tuple(set(...))`` conversions."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         iters: list[ast.expr] = []
         if isinstance(node, ast.For):
             iters.append(node.iter)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import const_str, walk_calls
+from repro.lint.astutil import calls_in, const_str
 from repro.lint.findings import SEV_ERROR, Finding
 from repro.lint.registry import (EnvUse, ModuleContext, Project,
                                  declare_rule, finalizer, rule)
@@ -69,7 +69,7 @@ def check_raw_reads(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag raw ``os.environ`` reads of ``REPRO_*`` names outside
     ``_util``, and record every parser read site into the registry."""
     in_util = ctx.relpath.endswith(_UTIL_MODULE)
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         name = _env_read_name(node)
         if name is not None and name.startswith("REPRO_"):
             if in_util:
@@ -83,7 +83,7 @@ def check_raw_reads(ctx: ModuleContext) -> Iterator[Finding]:
             ctx.project.env_uses.append(EnvUse(
                 name=name, parser="raw", default="",
                 path=ctx.relpath, line=int(getattr(node, "lineno", 0))))
-    for call in walk_calls(ctx.tree):
+    for call in calls_in(ctx.nodes):
         func = call.func
         fn_name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None)
@@ -119,7 +119,7 @@ def _env_write_name(node: ast.AST) -> str | None:
       "configuration; register a reader or drop the write")
 def collect_writes(ctx: ModuleContext) -> Iterator[Finding]:
     """Record ``os.environ[...] = ...`` sites (verified in finalize)."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         name = _env_write_name(node)
         if name is not None and name.startswith("REPRO_"):
             ctx.project.env_uses.append(EnvUse(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import walk_calls
+from repro.lint.astutil import calls_in
 from repro.lint.findings import SEV_ERROR, Finding
 from repro.lint.registry import KERNEL_SCOPE, ModuleContext, rule
 
@@ -28,7 +28,7 @@ __all__: list[str] = []
       scope=KERNEL_SCOPE)
 def check_missing_access(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag ``*.parallel_for(...)`` calls that pass no ``access=``."""
-    for call in walk_calls(ctx.tree):
+    for call in calls_in(ctx.nodes):
         func = call.func
         if not (isinstance(func, ast.Attribute)
                 and func.attr == "parallel_for"):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import walk_calls
+from repro.lint.astutil import calls_in
 from repro.lint.findings import SEV_ERROR, SEV_WARNING, Finding
 from repro.lint.registry import SIM_SCOPE, ModuleContext, rule
 
@@ -40,7 +40,7 @@ _RESERVATION_METHODS = {"acquire": "the release time",
 def check_discarded_release(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag expression statements that call a reservation method and
     throw the returned completion time away."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Expr):
             continue
         call = node.value
@@ -63,7 +63,7 @@ def check_discarded_release(ctx: ModuleContext) -> Iterator[Finding]:
       scope=SIM_SCOPE)
 def check_barrier_arity(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag ``Barrier(engine, <int literal>, ...)`` constructions."""
-    for call in walk_calls(ctx.tree):
+    for call in calls_in(ctx.nodes):
         func = call.func
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None)

@@ -1,4 +1,8 @@
-"""Shared fixtures: small graphs and a small machine for fast tests."""
+"""Shared fixtures: small graphs, a small machine, and a log of the
+durability calls (fsync, replace) a write makes."""
+
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -39,6 +43,26 @@ def random_graph() -> CSRGraph:
 def tiny_machine() -> MachineConfig:
     """A 4-core, 2-way-SMT machine for cheap runtime simulations."""
     return KNF.with_(name="tiny", n_cores=4, smt_per_core=2)
+
+
+@pytest.fixture
+def durability_calls(monkeypatch):
+    """Record every fsync (file or directory) and replace, in order."""
+    log = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        log.append(f"fsync {kind}")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        log.append(f"replace {src} -> {dst}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return log
 
 
 def make_graph_from_edges(n, edges):

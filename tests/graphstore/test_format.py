@@ -79,6 +79,20 @@ class TestRoundTrip:
         assert header.file_size == os.path.getsize(rgr_path)
 
 
+class TestDurability:
+    def test_fsync_file_then_replace_then_fsync_dir(self, rgr_path,
+                                                    durability_calls):
+        """The tmp file's bytes are fsynced before the rename publishes
+        them, and the directory is fsynced after it, so the new entry
+        survives a power failure."""
+        save_graph(rgr_path, CSRGraph.from_edges(3, [(0, 1)], name="g"))
+        assert durability_calls == [
+            "fsync file",
+            f"replace {rgr_path}.{os.getpid()}.tmp -> {rgr_path}",
+            "fsync dir"]
+        assert load_graph(rgr_path).n_vertices == 3
+
+
 class TestCorruption:
     def test_bad_magic(self, rgr_path, mesh):
         save_graph(rgr_path, mesh)

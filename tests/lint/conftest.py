@@ -20,7 +20,6 @@ def run_lint(tmp_path):
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(src), encoding="utf-8")
-        kw.setdefault("baseline_path", None)
         kw.setdefault("env_doc_path", None)
         return lint_paths([str(tmp_path)], root=str(tmp_path), **kw)
 

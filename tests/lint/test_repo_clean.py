@@ -16,7 +16,6 @@ def repo_result():
     start = time.monotonic()
     result = lint_paths(
         [str(ROOT / "src" / "repro")], root=str(ROOT),
-        baseline_path=str(ROOT / "lint_baseline.json"),
         env_doc_path=str(ROOT / "ENV.md"))
     result.elapsed = time.monotonic() - start
     return result
@@ -39,11 +38,6 @@ def test_lint_is_fast(repo_result):
 def test_every_suppression_carries_a_reason(repo_result):
     for finding in repo_result.suppressed:
         assert finding.suppress_reason.strip(), finding.format()
-
-
-def test_no_stale_baseline_entries(repo_result):
-    assert not repo_result.stale_baseline, [
-        e.to_dict() for e in repo_result.stale_baseline]
 
 
 def test_env_md_is_in_sync(repo_result):

@@ -1,17 +1,12 @@
-"""Whole-program analysis: cross-module rules, chains, cache, jobs.
+"""Whole-program analysis: cross-module rules and their call chains.
 
 Each rule family gets a seeded-violation fixture that must (a) fail
 with a finding naming the full call chain and (b) pass once a reasoned
-suppression lands at one end of that chain.  The engine-level tests
-pin the determinism and caching contracts: byte-identical output for
-any worker count, fingerprints stable when a callee moves files, and
-warm runs served from the payload cache.
+suppression lands at one end of that chain.
 """
 
 import json
 
-from repro.lint.baseline import entries_for, save_baseline
-from repro.lint.engine import lint_paths
 from tests.lint.conftest import rules_fired
 
 # ----------------------------------------------------------------- fixtures
@@ -298,39 +293,7 @@ def test_run_in_executor_escapes_reachability(run_lint):
     assert "obs-ungated" not in rules_fired(result)
 
 
-# ------------------------------------------- fingerprints, baseline, chains
-
-
-def test_fingerprint_stable_when_callee_moves_files(run_lint, tmp_path):
-    first = run_lint({"repro/kernels/alpha.py": _KERNEL_CALLER,
-                      "repro/support.py": _KERNEL_HELPER})
-    fp_a = [f.fingerprint for f in first.findings
-            if f.rule == "fp-undeclared-write"]
-
-    moved_caller = _KERNEL_CALLER.replace("repro.support",
-                                          "repro.other.helpers")
-    (tmp_path / "repro/support.py").unlink()
-    second = run_lint({"repro/kernels/alpha.py": moved_caller,
-                       "repro/other/helpers.py": _KERNEL_HELPER})
-    fp_b = [f.fingerprint for f in second.findings
-            if f.rule == "fp-undeclared-write"]
-    assert fp_a and fp_a == fp_b     # chain is not part of the identity
-
-
-def test_baseline_roundtrip_covers_cross_module_findings(run_lint,
-                                                         tmp_path):
-    files = {"repro/kernels/alpha.py": _KERNEL_CALLER,
-             "repro/support.py": _KERNEL_HELPER}
-    first = run_lint(files)
-    assert not first.ok
-    assert any(f.chain for f in first.errors)
-    bl_path = tmp_path / "baseline.json"
-    save_baseline(str(bl_path), entries_for(first.errors, "pre-dates "
-                                            "the footprint rule"))
-    second = run_lint(files, baseline_path=str(bl_path))
-    assert second.ok
-    assert len(second.baselined) == len(first.errors)
-    assert not second.stale_baseline
+# ------------------------------------------------------------------ chains
 
 
 def test_chain_survives_json_roundtrip(run_lint):
@@ -342,61 +305,3 @@ def test_chain_survives_json_roundtrip(run_lint):
     assert chains and [h["path"] for h in chains[0]] == [
         "repro/kernels/alpha.py", "repro/support.py"]
     json.dumps(payload)              # must be serialisable as-is
-
-
-# ------------------------------------------------- determinism and caching
-
-
-def _many_files():
-    """Enough files to clear the process-pool threshold."""
-    files = {"repro/kernels/alpha.py": _KERNEL_CALLER,
-             "repro/support.py": _KERNEL_HELPER}
-    for i in range(16):
-        files[f"repro/filler/mod_{i:02d}.py"] = f"VALUE = {i}\n"
-    return files
-
-
-def test_output_identical_across_job_counts(run_lint, tmp_path):
-    serial = run_lint(_many_files(), jobs=1, cache_dir="off")
-    parallel = run_lint(_many_files(), jobs=4, cache_dir="off")
-    dump = lambda r: json.dumps(r.to_dict(), sort_keys=True)  # noqa: E731
-    assert dump(serial) == dump(parallel)
-    assert not serial.ok             # the seeded violations are present
-
-
-def test_warm_run_is_served_from_cache(run_lint, tmp_path):
-    cache_dir = tmp_path / "cache"
-    cold = run_lint(_many_files(), jobs=1, cache_dir=str(cache_dir))
-    cached = list(cache_dir.glob("*.pkl"))
-    assert len(cached) == len(_many_files())
-
-    # Poison analyze_one: a warm run must not need it.
-    import repro.lint.engine as engine_mod
-
-    def _boom(*a, **kw):             # pragma: no cover - failure path
-        raise AssertionError("cache miss on a warm run")
-
-    original = engine_mod.analyze_one
-    engine_mod.analyze_one = _boom
-    try:
-        warm = lint_paths([str(tmp_path)], root=str(tmp_path),
-                          baseline_path=None, env_doc_path=None,
-                          jobs=1, cache_dir=str(cache_dir))
-    finally:
-        engine_mod.analyze_one = original
-    dump = lambda r: json.dumps(r.to_dict(), sort_keys=True)  # noqa: E731
-    assert dump(cold) == dump(warm)
-
-
-def test_cache_invalidated_by_source_change(run_lint, tmp_path):
-    cache_dir = tmp_path / "cache"
-    first = run_lint({"repro/jobs.py": "VALUE = 1\n"},
-                     cache_dir=str(cache_dir))
-    assert first.files_checked == 1
-    second = run_lint({"repro/jobs.py": "import time\n\n\n"
-                       "def f():\n    return time.time()\n"},
-                      cache_dir=str(cache_dir))
-    # Edited file re-analyzed, not served stale from the cache.
-    assert second.files_checked == 1
-    assert not any(f.rule == "det-wallclock" for f in second.findings), \
-        "repro/jobs.py is outside SIM_SCOPE; sanity check"
