@@ -25,8 +25,7 @@ from numpy.typing import NDArray
 __all__ = ["rng_from_seed", "check_positive", "check_nonnegative",
            "as_int_array", "atomic_write_text", "fsync_parent_dir",
            "canonical_json", "sha256_hex", "content_checksum",
-           "backoff_delay", "env_float", "env_int", "env_bool", "env_str",
-           "env_csv"]
+           "env_float", "env_int", "env_bool", "env_str", "env_csv"]
 
 
 def canonical_json(obj: object) -> str:
@@ -64,25 +63,6 @@ def content_checksum(obj: object) -> str:
     silently feeding bad data into a report.
     """
     return sha256_hex(canonical_json(obj))[:16]
-
-
-def backoff_delay(token: str, attempt: int, base: float = 0.05,
-                  cap: float = 2.0) -> float:
-    """Seeded exponential-backoff delay (seconds) with jitter.
-
-    ``attempt`` is 1-based (the delay before retry *attempt*).  The
-    jitter in ``[1.0, 2.0)`` is drawn from a Generator seeded by
-    ``(token, attempt)`` — no wall-clock entropy, so a replayed schedule
-    produces the identical delay sequence (and the determinism lint has
-    nothing to flag).  The result is capped at *cap*.
-    """
-    check_nonnegative("base", base)
-    check_positive("cap", cap)
-    if attempt < 1:
-        raise ValueError(f"attempt must be >= 1, got {attempt}")
-    seed = int(sha256_hex(f"backoff:{token}:{attempt}")[:16], 16)
-    jitter = 1.0 + float(np.random.default_rng(seed).random())
-    return min(cap, base * (2.0 ** (attempt - 1)) * jitter)
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

@@ -8,8 +8,8 @@ The scheduler + cache layer over the experiment harness:
   graceful Ctrl-C draining and progress/ETA;
 * :mod:`repro.campaign.supervise` — per-worker process supervision:
   heartbeat sweeps, ``REPRO_CELL_TIMEOUT`` deadlines, dead-worker
-  replacement with deterministic requeue, seeded backoff and a
-  per-runner-family circuit breaker;
+  replacement with deterministic requeue and immediate retries at the
+  cell's original position;
 * :mod:`repro.campaign.store` — a content-addressed result store keyed
   by canonical cell spec + code fingerprint, integrity-checksummed on
   every read (corrupt objects are quarantined, not served); re-running

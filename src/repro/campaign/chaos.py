@@ -16,7 +16,7 @@ same bytes every time:
      cell deadline — the supervisor must SIGKILL the hung worker and
      retry;
    * *runner exception*: the victim cell's first attempt raises — the
-     retry/backoff path must recover it;
+     retry must recover it;
    * *store truncation*: mid-run, a just-written store object is
      truncated on disk — integrity checksums must quarantine it later
      instead of serving garbage;

@@ -29,7 +29,7 @@ import math
 import os
 import sys
 
-from repro._util import atomic_write_text, env_int, sha256_hex
+from repro._util import atomic_write_text, sha256_hex
 
 __all__ = ["main", "run_campaign", "campaign_results_dict"]
 
@@ -42,13 +42,13 @@ def run_campaign(spec, *, jobs=None, retries=None, store=None,
     path, or None for the default store; *retries* defaults to
     ``REPRO_RETRIES`` (1), matching ``run_panel``.
     """
-    from repro.campaign.executor import execute_cells
+    from repro.campaign.executor import default_retries, execute_cells
     from repro.campaign.store import ResultStore
 
     if store is None or isinstance(store, (str, os.PathLike)):
         store = ResultStore(store)
     if retries is None:
-        retries = env_int("REPRO_RETRIES", 1, lo=0)
+        retries = default_retries()
     cells = spec.expand()
     report = execute_cells(cells, jobs=jobs, retries=retries, store=store,
                            progress=progress, desc=f"cells ({spec.name})")

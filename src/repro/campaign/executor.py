@@ -13,13 +13,14 @@ The executor owns everything around the runner calls:
   completed cell;
 * **worker supervision** — parallel execution runs on
   :class:`~repro.campaign.supervise.Supervisor`: per-worker children
-  tracked by pid + heartbeat sweep, ``REPRO_CELL_TIMEOUT`` deadlines,
-  dead-worker replacement with deterministic requeue, seeded
-  exponential backoff between retries and a per-runner-family circuit
-  breaker — an OOM-killed or segfaulting worker costs one requeue, not
-  a wedged campaign;
-* **bounded retries with NaN semantics** — a cell that keeps raising is
-  recorded as NaN with its error string, mirroring
+  tracked by pid + heartbeat sweep, ``REPRO_CELL_TIMEOUT`` deadlines
+  and dead-worker replacement with deterministic requeue — an
+  OOM-killed or segfaulting worker costs one requeue, not a wedged
+  campaign;
+* **bounded retries with NaN semantics** — a failed attempt re-runs at
+  once, up to the retry budget (``REPRO_RETRIES``, see
+  :func:`default_retries`); a cell that keeps raising is recorded as
+  NaN with its error string, mirroring
   :func:`repro.experiments.harness.run_panel`'s partial-result contract;
 * **graceful Ctrl-C** — the first SIGINT stops submissions, drains the
   in-flight cells (workers ignore SIGINT) and returns a partial report
@@ -28,12 +29,13 @@ The executor owns everything around the runner calls:
   ``\\r`` line on a TTY, every ~10% otherwise);
 * **telemetry** — when a :mod:`repro.obs.metrics` registry is active,
   ``campaign.cells{status=...}`` counters count hit, computed and
-  failed cells (the supervisor adds retry/requeue/timeout/breaker
+  failed cells (the supervisor adds retry/requeue/timeout/death
   counters), and serial cells run inside ``registry.cell(...)`` scopes
   so frames keep their sweep labels.
 
-Submission order is deterministic and results are keyed, not ordered, so
-``--jobs N`` output is bitwise identical to the serial run.
+Submission order is deterministic, every cell's outcome depends on that
+cell alone, and results are keyed, not ordered, so ``--jobs N`` output
+is bitwise identical to the serial run, failed cells included.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from dataclasses import dataclass, field
 
 from repro._util import env_int
 
-__all__ = ["ExecutionReport", "execute", "execute_cells", "default_jobs"]
+__all__ = ["ExecutionReport", "execute", "execute_cells", "default_jobs",
+           "default_retries"]
 
 
 def default_jobs() -> int:
@@ -57,6 +60,15 @@ def default_jobs() -> int:
     """
     jobs = env_int("REPRO_JOBS", 1, lo=0)
     return jobs or (os.cpu_count() or 1)
+
+
+def default_retries() -> int:
+    """Per-cell retry budget from ``REPRO_RETRIES`` (default 1).
+
+    Campaigns and figure panels both resolve their budget here, so a
+    cell gets the same number of attempts whichever command runs it.
+    """
+    return int(env_int("REPRO_RETRIES", 1, lo=0))
 
 
 @dataclass
@@ -177,7 +189,7 @@ def _fork_context():
 def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
             on_error: str = "nan", store=None, spec_for=None,
             labels_for=None, progress: bool = False, on_cell=None,
-            desc: str = "cells", key_id=None, family_for=None,
+            desc: str = "cells", key_id=repr,
             timeout=None) -> ExecutionReport:
     """Run ``runner(key) -> cycles`` over *keys*, optionally in parallel.
 
@@ -191,9 +203,8 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
     here);
     *labels_for* (``key -> dict``) labels serial cells' telemetry frames.
 
-    *key_id* (``key -> str``, default ``str``) names cells for the
-    supervisor and seeds retry backoff; *family_for* (``key -> str``)
-    groups cells for the circuit breaker; *timeout* overrides
+    *key_id* (``key -> str``, default ``repr``) names the cell in the
+    ``on_error="raise"`` error; *timeout* overrides
     ``REPRO_CELL_TIMEOUT``.
 
     On Ctrl-C the report comes back partial with ``interrupted=True``
@@ -212,8 +223,6 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
         raise ValueError(f"retries must be >= 0, got {retries}")
     if on_error not in ("nan", "raise"):
         raise ValueError(f"on_error must be 'nan' or 'raise', got {on_error!r}")
-    if key_id is None:
-        key_id = str
 
     report = ExecutionReport()
     registry = _obs_metrics.active()
@@ -271,8 +280,7 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
         if ctx is not None and work:
             report.jobs = min(jobs, len(work))
             _execute_pool(runner, work, ctx, report.jobs, retries,
-                          record, report, key_id=key_id,
-                          family_for=family_for, timeout=timeout)
+                          record, report, timeout=timeout)
         else:
             report.jobs = 1
             _execute_serial(runner, work, retries, on_error, labels_for,
@@ -283,7 +291,7 @@ def execute(runner, keys, *, jobs: int | None = None, retries: int = 0,
 
     if report.errors and on_error == "raise":
         key, error = next(iter(report.errors.items()))
-        raise RuntimeError(f"cell {key!r} failed after {retries} "
+        raise RuntimeError(f"cell {key_id(key)} failed after {retries} "
                            f"retr{'y' if retries == 1 else 'ies'}: {error}")
     return report
 
@@ -298,8 +306,7 @@ def execute_cells(cells, runner=None, **kwargs) -> ExecutionReport:
 
     The one executor call campaigns, figure panels and the chaos harness
     share: a cell is stored under its canonical dict, named by its cell
-    ID, labelled by its coordinate and grouped by experiment for the
-    circuit breaker.  *runner* defaults to
+    ID and labelled by its coordinate.  *runner* defaults to
     :func:`repro.campaign.runners.run_cell`; *kwargs* go to
     :func:`execute`.
     """
@@ -308,8 +315,7 @@ def execute_cells(cells, runner=None, **kwargs) -> ExecutionReport:
 
     return execute(runner or run_cell, cells, spec_for=CellSpec.to_dict,
                    labels_for=_cell_labels,
-                   key_id=lambda cell: cell.cell_id,
-                   family_for=lambda cell: cell.experiment, **kwargs)
+                   key_id=lambda cell: cell.cell_id, **kwargs)
 
 
 def _execute_serial(runner, work, retries, on_error, labels_for, registry,
@@ -344,11 +350,11 @@ def _execute_serial(runner, work, retries, on_error, labels_for, registry,
 
 
 def _execute_pool(runner, work, ctx, jobs, retries, record, report, *,
-                  key_id=str, family_for=None, timeout=None) -> None:
+                  timeout=None) -> None:
     """Supervised parallel execution with graceful Ctrl-C draining.
 
     The heavy lifting — worker lifecycle, heartbeat sweeps, timeouts,
-    requeues, backoff, the circuit breaker — lives in
+    requeues and retries — lives in
     :class:`~repro.campaign.supervise.Supervisor`; this wrapper adapts
     its callback to the executor's ``record`` contract and mirrors the
     interrupt/stats state onto the report.
@@ -356,8 +362,7 @@ def _execute_pool(runner, work, ctx, jobs, retries, record, report, *,
     from repro.campaign.supervise import Supervisor
 
     supervisor = Supervisor(runner, ctx, jobs, retries=retries,
-                            timeout=timeout, key_id=key_id,
-                            family_for=family_for)
+                            timeout=timeout)
     try:
         report.interrupted = supervisor.run(work, record)
     except KeyboardInterrupt:

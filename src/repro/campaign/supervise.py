@@ -12,25 +12,20 @@ with **per-worker child processes the parent actively supervises**:
 * a worker that dies mid-cell (SIGKILL, OOM, segfault) is detected,
   its in-flight cell is **requeued deterministically** (same attempt
   number, original submission order) and a replacement worker is forked;
-  a cell that keeps killing its workers is failed after a bounded number
-  of requeues instead of looping forever;
+  a cell that keeps killing its workers is failed after
+  :data:`REQUEUE_LIMIT` requeues instead of looping forever;
 * a cell that exceeds ``REPRO_CELL_TIMEOUT`` wall-clock seconds has its
   worker SIGKILLed and replaced; the timeout consumes one retry attempt
   (a hang is a runner bug, not infrastructure noise);
-* failed attempts retry after **seeded exponential backoff with
-  jitter** (:func:`repro._util.backoff_delay` — the delay is a pure
-  function of the cell id and attempt number, no wall-clock entropy, so
-  schedules replay identically and the determinism lint stays clean);
-* a per-runner-family **circuit breaker** short-circuits the remaining
-  cells of a family after K consecutive final failures
-  (``REPRO_BREAKER_THRESHOLD``), letting every Nth candidate through as
-  a half-open probe; one probe success closes the breaker.
+* a failed attempt re-runs at once at the cell's original position,
+  within the same retry budget as the serial path.
 
-Results are keyed, never ordered, so supervised parallel output remains
-bitwise identical to a serial run.  When a :mod:`repro.obs.metrics`
-registry is active the supervisor counts ``campaign.retries``,
-``campaign.requeues``, ``campaign.timeouts``, ``campaign.worker_deaths``
-and ``campaign.breaker{event=...}`` transitions.
+Every cell is computed and reported on its own — no outcome depends on
+another cell's — and results are keyed, never ordered, so supervised
+parallel output is bitwise identical to a serial run, failures
+included.  When a :mod:`repro.obs.metrics` registry is active the
+supervisor counts ``campaign.retries``, ``campaign.requeues``,
+``campaign.timeouts`` and ``campaign.worker_deaths``.
 """
 
 from __future__ import annotations
@@ -41,20 +36,17 @@ import sys
 import time
 from dataclasses import dataclass
 
-from repro._util import backoff_delay, env_float, env_int
+from repro._util import env_float
 
-__all__ = ["Supervisor", "SupervisorStats", "CircuitBreaker",
-           "cell_timeout", "breaker_threshold", "DEFAULT_REQUEUE_LIMIT"]
+__all__ = ["Supervisor", "SupervisorStats", "cell_timeout",
+           "REQUEUE_LIMIT"]
 
 #: Scheduler tick: the liveness/deadline sweep period in seconds.
 _TICK = 0.05
 
 #: A cell whose worker dies this many times is failed, not requeued —
 #: the bound that keeps a segfault-on-input cell from cycling forever.
-DEFAULT_REQUEUE_LIMIT = 5
-
-#: Every Nth short-circuited candidate runs as a half-open probe.
-DEFAULT_PROBE_EVERY = 10
+REQUEUE_LIMIT = 5
 
 
 def cell_timeout() -> float | None:
@@ -66,25 +58,6 @@ def cell_timeout() -> float | None:
     return None if not value else value
 
 
-def breaker_threshold() -> int:
-    """Circuit-breaker trip threshold from ``REPRO_BREAKER_THRESHOLD``.
-
-    K consecutive final failures of one runner family open the breaker;
-    ``0`` disables it.  The default (25) is far above any retry noise a
-    healthy campaign produces.
-    """
-    value = env_int("REPRO_BREAKER_THRESHOLD", 25, lo=0)
-    return int(value or 0)
-
-
-def _backoff_base() -> float:
-    return float(env_float("REPRO_BACKOFF_BASE", 0.05, lo=0.0))
-
-
-def _backoff_cap() -> float:
-    return float(env_float("REPRO_BACKOFF_MAX", 2.0, lo=0.001))
-
-
 @dataclass
 class SupervisorStats:
     """Resilience accounting for one supervised execution."""
@@ -94,9 +67,6 @@ class SupervisorStats:
     timeouts: int = 0           # workers killed for exceeding the deadline
     worker_deaths: int = 0      # children that vanished mid-cell
     workers_spawned: int = 0
-    breaker_opens: int = 0
-    breaker_closes: int = 0
-    short_circuited: int = 0    # cells failed fast by an open breaker
     busy_seconds: float = 0.0   # summed worker wall time holding a cell
 
     def to_dict(self) -> dict:
@@ -104,72 +74,19 @@ class SupervisorStats:
                 "timeouts": self.timeouts,
                 "worker_deaths": self.worker_deaths,
                 "workers_spawned": self.workers_spawned,
-                "breaker_opens": self.breaker_opens,
-                "breaker_closes": self.breaker_closes,
-                "short_circuited": self.short_circuited,
                 "busy_seconds": self.busy_seconds}
-
-
-class CircuitBreaker:
-    """K-consecutive-failures breaker with half-open probes.
-
-    Tracks one runner family.  ``admit()`` answers "run this cell?"
-    three ways: ``"run"`` (closed), ``"probe"`` (open, but this
-    candidate is the periodic half-open probe) or ``"short"`` (open —
-    fail fast).  A probe success closes the breaker; failures while
-    open keep it open.
-    """
-
-    def __init__(self, threshold: int,
-                 probe_every: int = DEFAULT_PROBE_EVERY):
-        if probe_every < 1:
-            raise ValueError(f"probe_every must be >= 1, got {probe_every}")
-        self.threshold = threshold
-        self.probe_every = probe_every
-        self.consecutive = 0
-        self.open = False
-        self._skipped = 0
-
-    def admit(self) -> str:
-        if self.threshold <= 0 or not self.open:
-            return "run"
-        self._skipped += 1
-        if self._skipped % self.probe_every == 0:
-            return "probe"
-        return "short"
-
-    def record_success(self) -> bool:
-        """Note a final success; returns True when this closed the
-        breaker (a half-open probe came back healthy)."""
-        was_open = self.open
-        self.consecutive = 0
-        self.open = False
-        self._skipped = 0
-        return was_open
-
-    def record_failure(self) -> bool:
-        """Note a final failure; returns True when this opened the
-        breaker (the K-th consecutive failure)."""
-        self.consecutive += 1
-        if self.threshold > 0 and not self.open \
-                and self.consecutive >= self.threshold:
-            self.open = True
-            self._skipped = 0
-            return True
-        return False
 
 
 class _Worker:
     """One supervised child process and its pipe."""
 
-    __slots__ = ("proc", "conn", "item", "started", "probe")
+    __slots__ = ("proc", "conn", "item", "started")
 
     def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
         self.item = None        # (seq, attempt, key) in flight, or None
         self.started = 0.0      # monotonic dispatch time
-        self.probe = False      # dispatched as a half-open probe
 
     @property
     def busy(self) -> bool:
@@ -179,9 +96,9 @@ class _Worker:
 def _worker_main(conn, runner) -> None:
     """Child loop: one cell per request, one attempt per dispatch.
 
-    Retries (and their backoff) live in the parent so that a retry can
-    land on a different worker than the attempt that failed.  Workers
-    ignore SIGINT — Ctrl-C is the parent's drain protocol.
+    Retries live in the parent so that a retry can land on a different
+    worker than the attempt that failed.  Workers ignore SIGINT — Ctrl-C
+    is the parent's drain protocol.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -220,44 +137,24 @@ class Supervisor:
     timeout : float | None
         Per-cell wall-clock deadline in seconds
         (default ``REPRO_CELL_TIMEOUT``; None/0 = no deadline).
-    key_id : callable
-        ``key -> str`` stable identity, seeds the backoff jitter.
-    family_for : callable | None
-        ``key -> str`` runner family for the circuit breaker (None =
-        one family for the whole run).
-    on_result : callable
-        ``on_result(key, value, error_or_None)`` — fired exactly once
-        per cell with its final outcome, in the parent.
+
+    :meth:`run` takes the work list and ``on_result(key, value,
+    error_or_None)``, fired exactly once per cell with its final
+    outcome, in the parent.
     """
 
     def __init__(self, runner, ctx, jobs: int, *, retries: int = 0,
-                 timeout: float | None = None, key_id=str,
-                 family_for=None, threshold: int | None = None,
-                 probe_every: int = DEFAULT_PROBE_EVERY,
-                 requeue_limit: int = DEFAULT_REQUEUE_LIMIT,
-                 backoff_base: float | None = None,
-                 backoff_cap: float | None = None):
+                 timeout: float | None = None):
         self.runner = runner
         self.ctx = ctx
         self.jobs = max(1, jobs)
         self.retries = retries
         self.timeout = cell_timeout() if timeout is None else (timeout or None)
-        self.key_id = key_id
-        self.family_for = family_for or (lambda key: "all")
-        self.threshold = breaker_threshold() if threshold is None \
-            else threshold
-        self.probe_every = probe_every
-        self.requeue_limit = requeue_limit
-        self.backoff_base = _backoff_base() if backoff_base is None \
-            else backoff_base
-        self.backoff_cap = _backoff_cap() if backoff_cap is None \
-            else backoff_cap
         self.stats = SupervisorStats()
         self.interrupted = False
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._requeues: dict[object, int] = {}
         self._workers: list[_Worker] = []
-        self._pending: list = []    # heap of (ready_at, seq, attempt, key)
+        self._pending: list = []    # heap of (seq, attempt, key)
         self._registry = None
 
     # ----- public surface --------------------------------------------------
@@ -276,8 +173,8 @@ class Supervisor:
         """
         from repro.obs import metrics as _obs_metrics
         self._registry = _obs_metrics.active()
-        for seq, key in enumerate(work):
-            heapq.heappush(self._pending, (0.0, seq, 1, key))
+        # Already in sequence order, so already a valid heap.
+        self._pending = [(seq, 1, key) for seq, key in enumerate(work)]
         try:
             while self._pending or any(w.busy for w in self._workers):
                 try:
@@ -305,14 +202,6 @@ class Supervisor:
         if self._registry is not None:
             self._registry.incr(name, **labels)
 
-    def _breaker(self, key) -> CircuitBreaker:
-        family = self.family_for(key)
-        breaker = self._breakers.get(family)
-        if breaker is None:
-            breaker = CircuitBreaker(self.threshold, self.probe_every)
-            self._breakers[family] = breaker
-        return breaker
-
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         proc = self.ctx.Process(target=_worker_main,
@@ -325,39 +214,26 @@ class Supervisor:
         return worker
 
     def _idle_worker(self) -> "_Worker | None":
-        for worker in self._workers:
-            if not worker.busy and worker.proc.is_alive():
+        for worker in list(self._workers):
+            if worker.busy:
+                continue
+            if worker.proc.is_alive():
                 return worker
+            self._discard(worker)   # died while idle: no cell to requeue
         if len(self._workers) < self.jobs:
             return self._spawn()
         return None
 
     def _dispatch(self, on_result) -> None:
-        """Hand ready pending cells to idle workers (breaker gate)."""
+        """Hand pending cells, lowest sequence first, to idle workers."""
         now = time.monotonic()
-        while self._pending and self._pending[0][0] <= now:
-            _, seq, attempt, key = self._pending[0]
-            breaker = self._breaker(key)
-            verdict = breaker.admit()
-            if verdict == "short":
-                heapq.heappop(self._pending)
-                self.stats.short_circuited += 1
-                self._count("campaign.breaker", event="short_circuit")
-                self._finish(key, float("nan"),
-                             f"circuit breaker open for "
-                             f"{self.family_for(key)!r} "
-                             f"({breaker.consecutive} consecutive "
-                             f"failures)", on_result)
-                continue
+        while self._pending:
             worker = self._idle_worker()
             if worker is None:
                 return
-            heapq.heappop(self._pending)
+            seq, attempt, key = heapq.heappop(self._pending)
             worker.item = (seq, attempt, key)
             worker.started = now
-            worker.probe = verdict == "probe"
-            if worker.probe:
-                self._count("campaign.breaker", event="probe")
             try:
                 worker.conn.send(("run", key))
             except (BrokenPipeError, OSError):
@@ -370,8 +246,6 @@ class Supervisor:
         conns = [w.conn for w in self._workers if w.busy]
         if conns:
             connection.wait(conns, timeout=_TICK)
-        else:
-            time.sleep(_TICK if self._pending else 0.0)
 
     def _collect(self, on_result) -> None:
         """Heartbeat sweep: results, deaths, and blown deadlines."""
@@ -390,8 +264,7 @@ class Supervisor:
                 worker.item = None
                 self.stats.busy_seconds += max(0.0, now - worker.started)
                 _, value, error = message
-                self._settle(key, seq, attempt, value, error, now,
-                             on_result)
+                self._settle(key, seq, attempt, value, error, on_result)
             elif not worker.proc.is_alive():
                 self._on_death(worker, on_result)
             elif self.timeout is not None \
@@ -401,21 +274,15 @@ class Supervisor:
     # ----- outcome handling ------------------------------------------------
 
     def _settle(self, key, seq: int, attempt: int, value, error,
-                now: float, on_result) -> None:
-        """A worker returned: record, retry with backoff, or fail."""
-        if error is None:
-            self._finish(key, value, None, on_result)
-            return
-        if attempt <= self.retries and not self.interrupted:
+                on_result) -> None:
+        """A worker returned: record, or retry at the original position."""
+        if error is not None and attempt <= self.retries \
+                and not self.interrupted:
             self.stats.retries += 1
             self._count("campaign.retries")
-            delay = backoff_delay(self.key_id(key), attempt,
-                                  base=self.backoff_base,
-                                  cap=self.backoff_cap)
-            heapq.heappush(self._pending,
-                           (now + delay, seq, attempt + 1, key))
+            heapq.heappush(self._pending, (seq, attempt + 1, key))
         else:
-            self._finish(key, value, error, on_result)
+            on_result(key, value, error)
 
     def _on_death(self, worker: _Worker, on_result) -> None:
         """A worker vanished mid-cell: requeue its cell, replace it."""
@@ -428,17 +295,17 @@ class Supervisor:
         self._count("campaign.worker_deaths")
         requeues = self._requeues.get(key, 0) + 1
         self._requeues[key] = requeues
-        if requeues > self.requeue_limit or self.interrupted:
-            self._finish(key, float("nan"),
-                         f"worker died {requeues} time(s) running this "
-                         f"cell (last exitcode {exitcode})", on_result)
+        if requeues > REQUEUE_LIMIT or self.interrupted:
+            on_result(key, float("nan"),
+                      f"worker died {requeues} time(s) running this "
+                      f"cell (last exitcode {exitcode})")
             return
         self.stats.requeues += 1
         self._count("campaign.requeues")
         # Same attempt number and original sequence: the death was the
         # infrastructure's fault, so it does not consume retry budget
         # and the cell goes back deterministically where it was.
-        heapq.heappush(self._pending, (time.monotonic(), seq, attempt, key))
+        heapq.heappush(self._pending, (seq, attempt, key))
 
     def _on_timeout(self, worker: _Worker, now: float, on_result) -> None:
         """Deadline blown: SIGKILL the worker, charge a retry attempt."""
@@ -450,20 +317,7 @@ class Supervisor:
         self._count("campaign.timeouts")
         self._settle(key, seq, attempt, float("nan"),
                      f"cell exceeded REPRO_CELL_TIMEOUT "
-                     f"({self.timeout:g}s)", now, on_result)
-
-    def _finish(self, key, value, error, on_result) -> None:
-        """Deliver a final outcome and feed the circuit breaker."""
-        breaker = self._breaker(key)
-        if error is None:
-            if breaker.record_success():
-                self.stats.breaker_closes += 1
-                self._count("campaign.breaker", event="close")
-        else:
-            if breaker.record_failure():
-                self.stats.breaker_opens += 1
-                self._count("campaign.breaker", event="open")
-        on_result(key, value, error)
+                     f"({self.timeout:g}s)", on_result)
 
     # ----- teardown --------------------------------------------------------
 

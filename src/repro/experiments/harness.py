@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro._util import env_bool, env_csv, env_int, env_str
+from repro._util import env_bool, env_csv, env_str
 from repro.graph.reorder import apply_ordering
 from repro.graph.suite import SUITE, suite_graph, suite_scale
 
@@ -245,7 +245,7 @@ def run_panel(
       kept in ``PanelResult.failures``, leaving every other cell intact;
       ``on_error="raise"`` restores fail-fast behaviour.
     """
-    from repro.campaign.executor import execute_cells
+    from repro.campaign.executor import default_retries, execute_cells
     from repro.campaign.spec import CellSpec
     from repro.campaign.store import ResultStore
     from repro.machine.config import MACHINES
@@ -257,7 +257,7 @@ def run_panel(
     if baseline_point not in threads:
         threads = [baseline_point] + list(threads)
     if retries is None:
-        retries = env_int("REPRO_RETRIES", 1, lo=0)
+        retries = default_retries()
     if store is None:
         store = env_str("REPRO_STORE") or None
     if isinstance(store, (str, os.PathLike)):

@@ -190,7 +190,7 @@ def _relpath(path: str, root: str) -> str:
 
 # ----- phase 1: per-file analysis ------------------------------------------
 
-def analyze_one(path: str, relpath: str, root: str) -> FilePayload:
+def analyze_one(path: str, relpath: str) -> FilePayload:
     """Parse one file, run per-module rules, build its effect summary."""
     rules = all_rules()
     known = rule_ids()
@@ -206,7 +206,7 @@ def analyze_one(path: str, relpath: str, root: str) -> FilePayload:
     # driver merges them from the payload.
     ctx = ModuleContext(path=path, relpath=relpath, tree=tree, nodes=nodes,
                         lines=lines, import_bound=import_bound_names(nodes),
-                        project=Project(root=root))
+                        project=Project())
     findings: list[Finding] = []
     sups, bad = _parse_suppressions(source, lines, known)
     for finding in bad:
@@ -236,10 +236,10 @@ def lint_paths(paths: list[str], root: str,
     by_rel: dict[str, FilePayload] = {}
     for path in files:
         relpath = _relpath(path, root)
-        by_rel[relpath] = analyze_one(path, relpath, root)
+        by_rel[relpath] = analyze_one(path, relpath)
     payloads = [by_rel[rel] for rel in sorted(by_rel)]
 
-    project = Project(root=root, env_doc_path=env_doc_path)
+    project = Project(env_doc_path=env_doc_path)
     raw_findings: list[Finding] = []
     suppressions: dict[str, list[Suppression]] = {}
     for payload in payloads:

@@ -60,10 +60,6 @@ class Finding:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
 
-    def location(self) -> str:
-        """``path:line`` as editors expect it."""
-        return f"{self.path}:{self.line}"
-
     def format(self) -> str:
         """One human-readable report line."""
         return (f"{self.path}:{self.line}: [{self.severity}] "

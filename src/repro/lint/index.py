@@ -173,6 +173,10 @@ class ProjectIndex:
 
     modules: dict[str, ModuleSummary] = field(default_factory=dict)
     by_module_name: dict[str, str] = field(default_factory=dict)
+    #: Method name -> sorted ``(relpath, qname)`` candidates, built on
+    #: the first :meth:`methods_named` call.
+    _methods: dict[str, list[tuple[str, str]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def function_at(self, key: tuple[str, str]) -> FunctionSummary | None:
         """The summary for ``(relpath, qname)``, or None."""
@@ -182,14 +186,16 @@ class ProjectIndex:
     def methods_named(self, name: str) -> list[tuple[str, str]]:
         """Every ``(relpath, qname)`` whose method name is *name*,
         sorted — the unique-name fallback tier of call resolution."""
-        out = []
-        for relpath in sorted(self.modules):
-            mod = self.modules[relpath]
-            for qname in sorted(mod.functions):
-                fn = mod.functions[qname]
-                if fn.name == name and fn.class_name:
-                    out.append((relpath, qname))
-        return out
+        if self._methods is None:
+            self._methods = {}
+            for relpath in sorted(self.modules):
+                mod = self.modules[relpath]
+                for qname in sorted(mod.functions):
+                    fn = mod.functions[qname]
+                    if fn.class_name:
+                        self._methods.setdefault(fn.name, []).append(
+                            (relpath, qname))
+        return list(self._methods.get(name, ()))
 
 
 def build_index(payloads: list[FilePayload]) -> ProjectIndex:

@@ -55,7 +55,6 @@ class EnvUse:
 class Project:
     """Cross-module state shared by one lint run."""
 
-    root: str
     env_doc_path: str | None = None
     env_uses: list[EnvUse] = field(default_factory=list)
     modules: list["FilePayload"] = field(default_factory=list)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.campaign.executor import ExecutionReport, default_jobs, execute
+from repro.campaign.executor import (ExecutionReport, default_jobs,
+                                     default_retries, execute)
 from repro.campaign.store import ResultStore
 
 
@@ -57,6 +58,24 @@ class TestParallelParity:
         assert "injected" in report.errors[3]
         assert report.failed == 1
         assert report.computed == len(KEYS) - 1
+
+    def test_failing_run_matches_serial(self):
+        # A long run of failing cells must not change how the healthy
+        # cells after it are reported: every cell is computed once, the
+        # same way at any job count.
+        def sick_then_healthy(key):
+            if key < 0:
+                raise RuntimeError(f"cell {key} is broken")
+            return runner(key)
+
+        keys = list(range(-30, 0)) + list(range(1, 21))
+        serial = execute(sick_then_healthy, keys, jobs=1, retries=0)
+        parallel = execute(sick_then_healthy, keys, jobs=2, retries=0)
+        assert serial.failed == 30 and serial.computed == 20
+        assert parallel.errors == serial.errors
+        # repr compares NaN == NaN and every float bit for bit.
+        assert {k: repr(v) for k, v in parallel.values.items()} == \
+            {k: repr(v) for k, v in serial.values.items()}
 
     def test_pool_on_error_raise_reports_cell(self):
         def bad(key):
@@ -123,6 +142,15 @@ class TestValidation:
         monkeypatch.setenv("REPRO_JOBS", "-1")
         with pytest.raises(ValueError, match=">= 0"):
             default_jobs()
+
+    def test_default_retries_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RETRIES", raising=False)
+        assert default_retries() == 1
+        monkeypatch.setenv("REPRO_RETRIES", "0")
+        assert default_retries() == 0
+        monkeypatch.setenv("REPRO_RETRIES", "-1")
+        with pytest.raises(ValueError, match="REPRO_RETRIES"):
+            default_retries()
 
 
 class TestStoreIntegration:

@@ -1,4 +1,4 @@
-"""Worker supervision: deaths, timeouts, backoff, the circuit breaker."""
+"""Worker supervision: deaths, timeouts, retries and Ctrl-C draining."""
 
 import math
 import multiprocessing
@@ -8,15 +8,11 @@ import time
 
 import pytest
 
-from repro._util import backoff_delay
-from repro.campaign.supervise import (CircuitBreaker, Supervisor,
-                                      breaker_threshold, cell_timeout)
+from repro.campaign import supervise
+from repro.campaign.supervise import Supervisor, cell_timeout
 
 
 CTX = multiprocessing.get_context("fork")
-
-#: Fast retry schedule so the tests never sleep for real backoff.
-FAST = {"backoff_base": 0.01, "backoff_cap": 0.05}
 
 
 def runner(key):
@@ -38,7 +34,7 @@ def collect(supervisor, work):
 
 class TestHappyPath:
     def test_results_keyed_not_ordered(self):
-        sup = Supervisor(runner, CTX, jobs=3, **FAST)
+        sup = Supervisor(runner, CTX, jobs=3)
         values, errors, interrupted = collect(sup, [1, 2, 4, 5, 8])
         assert values == {k: runner(k) for k in [1, 2, 4, 5, 8]}
         assert errors == {} and not interrupted
@@ -51,7 +47,7 @@ class TestHappyPath:
                 raise RuntimeError("injected")
             return runner(key)
 
-        sup = Supervisor(flaky, CTX, jobs=2, **FAST)
+        sup = Supervisor(flaky, CTX, jobs=2)
         values, errors, _ = collect(sup, [1, 2, 4])
         assert math.isnan(values[2])
         assert "injected" in errors[2]
@@ -73,7 +69,7 @@ class TestWorkerDeath:
                     os.kill(os.getpid(), signal.SIGKILL)
             return runner(key)
 
-        sup = Supervisor(suicidal, CTX, jobs=2, **FAST)
+        sup = Supervisor(suicidal, CTX, jobs=2)
         values, errors, _ = collect(sup, [1, 5])
         assert errors == {}
         assert values == {1: runner(1), 5: runner(5)}
@@ -81,16 +77,57 @@ class TestWorkerDeath:
         assert sup.stats.requeues == 1
         assert sup.stats.retries == 0  # a death never burns retry budget
 
-    def test_repeat_killer_fails_after_requeue_limit(self):
+    def test_repeat_killer_fails_after_requeue_limit(self, monkeypatch):
         def always_dies(key):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        sup = Supervisor(always_dies, CTX, jobs=1, requeue_limit=1, **FAST)
+        monkeypatch.setattr(supervise, "REQUEUE_LIMIT", 1)
+        sup = Supervisor(always_dies, CTX, jobs=1)
         values, errors, _ = collect(sup, [3])
         assert math.isnan(values[3])
         assert "worker died 2 time(s)" in errors[3]
         assert sup.stats.worker_deaths == 2
         assert sup.stats.requeues == 1
+
+
+    def test_worker_dead_while_idle_is_replaced(self):
+        sup = Supervisor(runner, CTX, jobs=1)
+        order = []
+
+        def on_result(key, value, error):
+            order.append(key)
+            if len(order) == 1:
+                # Kill the now idle worker and wait until it has exited,
+                # without reaping it, so the supervisor sees it dead.
+                pid = sup.pids()[0]
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+        sup.run([1, 2], on_result)
+        assert order == [1, 2]
+        assert sup.stats.workers_spawned == 2
+        assert sup.stats.worker_deaths == 0  # no cell was in flight
+
+
+class TestRetry:
+    def test_retry_runs_at_once_at_original_position(self, tmp_path):
+        marker = str(tmp_path / "failed-once")
+
+        def fails_once(key):
+            if key == 2:
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+                except FileExistsError:
+                    return runner(key)
+                os.close(fd)
+                raise RuntimeError("transient")
+            return runner(key)
+
+        order = []
+        sup = Supervisor(fails_once, CTX, jobs=1, retries=1)
+        sup.run([1, 2, 4, 5], lambda key, value, error: order.append(key))
+        assert order == [1, 2, 4, 5]  # the retry went ahead of 4
+        assert sup.stats.retries == 1
 
 
 class TestTimeout:
@@ -105,8 +142,7 @@ class TestTimeout:
             os.close(fd)
             time.sleep(3600)
 
-        sup = Supervisor(hangs_once, CTX, jobs=1, retries=1, timeout=0.5,
-                         **FAST)
+        sup = Supervisor(hangs_once, CTX, jobs=1, retries=1, timeout=0.5)
         values, errors, _ = collect(sup, [4])
         assert errors == {}
         assert values[4] == runner(4)
@@ -117,7 +153,7 @@ class TestTimeout:
         def hangs(key):
             time.sleep(3600)
 
-        sup = Supervisor(hangs, CTX, jobs=1, retries=0, timeout=0.3, **FAST)
+        sup = Supervisor(hangs, CTX, jobs=1, retries=0, timeout=0.3)
         values, errors, _ = collect(sup, [7])
         assert math.isnan(values[7])
         assert "REPRO_CELL_TIMEOUT" in errors[7]
@@ -132,102 +168,6 @@ class TestTimeout:
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "nope")
         with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
             cell_timeout()
-
-
-class TestBackoff:
-    def test_pure_function_of_token_and_attempt(self):
-        assert backoff_delay("cell-a", 1) == backoff_delay("cell-a", 1)
-        assert backoff_delay("cell-a", 1) != backoff_delay("cell-b", 1)
-
-    def test_exponential_and_capped(self):
-        base, cap = 0.05, 2.0
-        delays = [backoff_delay("x", a, base=base, cap=cap)
-                  for a in range(1, 12)]
-        assert all(base <= d <= cap for d in delays)
-        assert delays[-1] == cap  # attempt 11 is far past the cap
-
-
-class TestCircuitBreaker:
-    def test_opens_on_kth_consecutive_failure(self):
-        breaker = CircuitBreaker(threshold=3)
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # the K-th one opens it
-        assert breaker.admit() != "run"
-
-    def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        assert not breaker.record_failure()  # streak restarted
-        assert breaker.admit() == "run"
-
-    def test_probe_every_nth_candidate(self):
-        breaker = CircuitBreaker(threshold=1, probe_every=3)
-        breaker.record_failure()
-        verdicts = [breaker.admit() for _ in range(6)]
-        assert verdicts == ["short", "short", "probe",
-                            "short", "short", "probe"]
-
-    def test_probe_success_closes(self):
-        breaker = CircuitBreaker(threshold=1, probe_every=1)
-        breaker.record_failure()
-        assert breaker.admit() == "probe"
-        assert breaker.record_success()  # True = this closed it
-        assert breaker.admit() == "run"
-
-    def test_threshold_zero_disables(self):
-        breaker = CircuitBreaker(threshold=0)
-        for _ in range(50):
-            breaker.record_failure()
-        assert breaker.admit() == "run"
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BREAKER_THRESHOLD", raising=False)
-        assert breaker_threshold() == 25
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0")
-        assert breaker_threshold() == 0
-
-
-class TestBreakerIntegration:
-    def test_sick_family_short_circuits_healthy_family_unaffected(self):
-        def split(key):
-            if key < 0:
-                raise RuntimeError("sick family")
-            return runner(key)
-
-        work = [-1, -2, -3, -4, -5, -6, 1, 2]
-        sup = Supervisor(split, CTX, jobs=1, threshold=3,
-                         family_for=lambda k: "sick" if k < 0 else "ok",
-                         **FAST)
-        values, errors, _ = collect(sup, work)
-        assert sup.stats.breaker_opens == 1
-        assert sup.stats.short_circuited >= 1
-        short = [e for e in errors.values() if "circuit breaker open" in e]
-        assert len(short) == sup.stats.short_circuited
-        # The healthy family never sees the sick family's breaker.
-        assert values[1] == runner(1) and values[2] == runner(2)
-
-    def test_probe_success_closes_and_recovers(self, tmp_path):
-        sick = str(tmp_path / "sick")
-        open(sick, "w").close()
-
-        def recovering(key):
-            if os.path.exists(sick) and key in (10, 20):
-                raise RuntimeError("still sick")
-            if key == 30:
-                os.remove(sick)  # the service heals mid-campaign
-            return runner(key)
-
-        # threshold 2, probe_every 1: keys 10/20 fail and open the
-        # breaker, 30 runs as a probe (healing the family), so 40 runs
-        # normally after the close.
-        sup = Supervisor(recovering, CTX, jobs=1, threshold=2,
-                         probe_every=1, **FAST)
-        values, errors, _ = collect(sup, [10, 20, 30, 40])
-        assert sup.stats.breaker_opens == 1
-        assert sup.stats.breaker_closes == 1
-        assert values[30] == runner(30) and values[40] == runner(40)
 
 
 class TestInterrupt:
@@ -245,7 +185,7 @@ class TestInterrupt:
             time.sleep(0.05)
             return runner(key)
 
-        sup = Supervisor(slow, CTX, jobs=2, **FAST)
+        sup = Supervisor(slow, CTX, jobs=2)
         interrupted = sup.run([1, 2, 4, 5, 8, 13], on_result)
         assert interrupted
         # Partial: the first cell plus at most the drained in-flight ones.
@@ -260,12 +200,12 @@ class TestInterrupt:
             time.sleep(0.05)
             return runner(key)
 
-        sup = Supervisor(slow, CTX, jobs=2, **FAST)
+        sup = Supervisor(slow, CTX, jobs=2)
         with pytest.raises(KeyboardInterrupt):
             sup.run([1, 2, 4, 5, 8, 13], on_result)
         assert sup.interrupted
 
     def test_workers_are_reaped_after_run(self):
-        sup = Supervisor(runner, CTX, jobs=2, **FAST)
+        sup = Supervisor(runner, CTX, jobs=2)
         collect(sup, [1, 2, 4])
         assert sup.pids() == []

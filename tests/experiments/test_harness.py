@@ -283,8 +283,9 @@ class TestResilience:
             calls["n"] += 1
             raise RuntimeError("always")
 
-        sweep(runner, ["A"], graphs=["g1"], threads=[1])
+        panel = sweep(runner, ["A"], graphs=["g1"], threads=[1])
         assert calls["n"] == 5
+        assert "failed after 4 retries" in panel.notes
 
     def test_all_baselines_failed_gives_nan_baseline(self, sweep):
         import math

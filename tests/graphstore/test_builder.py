@@ -96,3 +96,21 @@ class TestBoundedMemory:
             base = base.obj
         assert isinstance(base, mmap.mmap)
         assert not graph.indices.flags.writeable
+
+
+class TestCrashPoints:
+    def test_compact_failure_leaves_no_scratch_files(self, tmp_path,
+                                                      monkeypatch):
+        builder = StreamingCSRBuilder(50, block_edges=16,
+                                      workdir=str(tmp_path))
+        rng = np.random.default_rng(3)
+        edges = rng.integers(0, 50, size=(200, 2))
+        builder.add_edges(edges[:, 0], edges[:, 1])
+
+        def lexsort(keys):
+            raise MemoryError("injected: compaction failed")
+
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        with pytest.raises(MemoryError, match="injected"):
+            builder.finalize()
+        assert list(tmp_path.iterdir()) == []  # no .scatter/.indices left

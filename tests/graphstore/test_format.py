@@ -92,6 +92,22 @@ class TestDurability:
             "fsync dir"]
         assert load_graph(rgr_path).n_vertices == 3
 
+    def test_failed_replace_keeps_old_file_and_no_tmp(self, rgr_path, mesh,
+                                                      monkeypatch):
+        """Crash point: the rename fails.  The previous graph stays
+        whole at *path* and the tmp file is removed."""
+        save_graph(rgr_path, mesh)
+
+        def replace(src, dst):
+            raise OSError("injected: replace failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected"):
+            save_graph(rgr_path, CSRGraph.from_edges(3, [(0, 1)], name="g"))
+        monkeypatch.undo()
+        assert os.listdir(os.path.dirname(rgr_path)) == ["graph.rgr"]
+        assert mesh.structurally_equal(load_graph(rgr_path))
+
 
 class TestCorruption:
     def test_bad_magic(self, rgr_path, mesh):

@@ -89,6 +89,28 @@ class TestRegistry:
         assert len(os.listdir(quarantine)) == 1
         assert os.path.exists(path)  # rebuilt under the same key
 
+    def test_failed_quarantine_move_still_serves_a_fresh_build(
+            self, registry, monkeypatch):
+        # Crash point: the corrupt file cannot be moved aside.  The
+        # rebuild must still replace it with a good graph.
+        registry.get("tube:2k")
+        path = registry.path_for("tube:2k")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 11)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(os.path.dirname(dst)) == "quarantine":
+                raise OSError("injected: quarantine move failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        fresh = GraphRegistry(registry.root)
+        graph = fresh.get("tube:2k")
+        assert fresh.stats.corrupt == 1 and fresh.stats.quarantined == 0
+        assert parse_graph_name("tube:2k").build().structurally_equal(graph)
+        graph.validate()
+
     def test_verify_repair(self, registry):
         registry.get("tube:2k")
         registry.get("tube:4k")
