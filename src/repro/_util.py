@@ -74,16 +74,21 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     tmp file, ``os.replace`` it over *path*, then ``fsync`` the parent
     directory so the rename itself survives a power failure.  The tmp
     name carries the PID, so concurrent writers of one path never share
-    a tmp file.
+    a tmp file.  If any step fails, the tmp file is removed and the error
+    re-raised; *path* keeps its previous contents.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    fsync_parent_dir(path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        fsync_parent_dir(path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def fsync_parent_dir(path: str) -> None:

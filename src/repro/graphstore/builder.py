@@ -2,13 +2,13 @@
 
 :meth:`CSRGraph.from_edges` materialises every intermediate at full
 size: the ``(m, 2)`` int64 edge array, the symmetrised ``2m`` source and
-destination copies, the lexsort permutation, and the dedupe mask —
-roughly ``56 bytes x 2|E|`` of peak RSS on top of the final CSR.  That
-caps generation at "laptop scale".  This builder accepts edges in
-blocks and produces the *identical* graph (same drop-self-loops /
-symmetrise / per-row sort / dedupe semantics) while holding only
-O(n_vertices) counters plus O(block) temporaries in RAM; the bulk data
-lives in temporary files:
+destination copies, the int64 sort key, the dedupe mask and the decoded
+rows — roughly ``45 bytes x 2|E|`` of peak RSS on top of the input and
+the final CSR (``tracemalloc``, 2M random edges).  That caps generation
+at "laptop scale".  This builder accepts edges in blocks and produces
+the *identical* graph (same drop-self-loops / symmetrise / per-row sort
+/ dedupe semantics) while holding only O(n_vertices) counters plus
+O(block) temporaries in RAM; the bulk data lives in temporary files:
 
 1. **Ingest** — each ``add_edges`` block is symmetrised, appended to a
    spill file as interleaved ``(src, dst)`` int32 pairs, and counted
@@ -17,8 +17,10 @@ lives in temporary files:
    second pass over the spill scatters every destination into its row's
    slice of a writable scratch memmap (a cursor array tracks fill).
 3. **Compact** — rows are processed in bounded chunks: sort + dedupe
-   each row, stream the surviving entries to the final indices file,
-   then cumulative-sum the deduped degrees into the final ``indptr``.
+   each row (one in-place sort of the int64 key ``row * n + col``, the
+   helper :meth:`CSRGraph.from_edges` uses), stream the surviving
+   entries to the final indices file, then cumulative-sum the deduped
+   degrees into the final ``indptr``.
 
 :meth:`finalize` maps the result read-only and unlinks the backing file
 (POSIX keeps the data alive until the mapping drops), so the returned
@@ -36,7 +38,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro._util import env_int
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _sort_entries
 
 __all__ = ["StreamingCSRBuilder", "DEFAULT_BLOCK_EDGES"]
 
@@ -175,15 +177,24 @@ class StreamingCSRBuilder:
             if not buf:
                 break
             pairs = np.frombuffer(buf, dtype=np.int32).reshape(-1, 2)
-            src = pairs[:, 0].astype(np.int64)
-            dst = pairs[:, 1]
-            order = np.argsort(src, kind="stable")
+            src = pairs[:, 0]
+            # Group the block by row.  The order within a row is
+            # irrelevant (``_compact`` sorts every row), so any sort will
+            # do; the k-th entry of a row's run lands at cursor + k.  Run
+            # starts come from the sorted block, so a block costs
+            # O(block), not O(n_vertices).
+            order = np.argsort(src)
             src_sorted = src[order]
-            rows, first, counts = np.unique(src_sorted, return_index=True,
-                                            return_counts=True)
-            rank = (np.arange(len(src_sorted), dtype=np.int64)
-                    - np.repeat(first, counts))
-            scratch[cursor[src_sorted] + rank] = dst[order]
+            k = len(src_sorted)
+            new_run = np.empty(k, dtype=bool)
+            new_run[0] = True
+            np.not_equal(src_sorted[1:], src_sorted[:-1], out=new_run[1:])
+            starts = np.flatnonzero(new_run)
+            counts = np.diff(starts, append=k)
+            rows = src_sorted[starts]
+            slot = np.repeat(cursor[rows] - starts, counts)
+            slot += np.arange(k, dtype=np.int64)
+            scratch[slot] = pairs[order, 1]
             cursor[rows] += counts
         return scratch
 
@@ -205,25 +216,16 @@ class StreamingCSRBuilder:
                     v1 = int(np.searchsorted(raw_offsets, target,
                                              side="left"))
                     v1 = max(v0 + 1, min(v1, n))
-                    seg = np.array(
-                        scratch[raw_offsets[v0]:raw_offsets[v1]])
+                    seg = scratch[raw_offsets[v0]:raw_offsets[v1]]
                     if seg.size:
                         rows = np.repeat(
-                            np.arange(v0, v1, dtype=np.int64),
+                            np.arange(v1 - v0, dtype=np.int64),
                             np.diff(raw_offsets[v0:v1 + 1]))
-                        order = np.lexsort((seg, rows))
-                        rows_sorted = rows[order]
-                        seg_sorted = seg[order]
-                        uniq = np.empty(len(seg_sorted), dtype=bool)
-                        uniq[0] = True
-                        np.logical_or(rows_sorted[1:] != rows_sorted[:-1],
-                                      seg_sorted[1:] != seg_sorted[:-1],
-                                      out=uniq[1:])
-                        rows_uniq = rows_sorted[uniq]
-                        seg_uniq = np.ascontiguousarray(seg_sorted[uniq])
-                        degrees[v0:v1] = np.bincount(rows_uniq - v0,
+                        key = _sort_entries(rows, seg, n)
+                        degrees[v0:v1] = np.bincount(key // n,
                                                      minlength=v1 - v0)
-                        out.write(memoryview(seg_uniq))
+                        key %= n
+                        out.write(memoryview(key.astype(np.int32)))
                     v0 = v1
             out.flush()
             size = out.tell()

@@ -269,9 +269,10 @@ class _CrashAfterWrite:
 
 
 class TestCrashPoints:
-    """``put`` crashes at each step of ``atomic_write_text``: a fresh
-    store on the same root sees the old object or a miss, never a torn
-    one, and the leftover ``.tmp`` file is invisible."""
+    """``put`` crashes at each step of ``atomic_write_text``: the failed
+    write removes its ``.tmp`` file, a fresh store on the same root sees
+    the old object or a miss, never a torn one, and the ``.tmp`` file a
+    killed writer leaves behind is invisible."""
 
     OTHER = {**SPEC, "threads": 31}
 
@@ -309,7 +310,12 @@ class TestCrashPoints:
             self.inject(m, step)
             with pytest.raises(OSError, match="injected crash"):
                 store.put(SPEC, 2.0)
-        assert os.path.exists(f"{path}.{os.getpid()}.tmp")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        assert not os.path.exists(tmp)
+        # A SIGKILL between the steps runs no cleanup: leave a torn tmp.
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write('{"spec": ')
 
         fresh = ResultStore(tmp_path)
         assert fresh.get(SPEC) == (1.0 if existing else None)
@@ -321,7 +327,7 @@ class TestCrashPoints:
 
         fresh.put(SPEC, 3.0)
         assert ResultStore(tmp_path).get(SPEC) == 3.0
-        assert not os.path.exists(f"{path}.{os.getpid()}.tmp")
+        assert not os.path.exists(tmp)
         assert fresh.verify().clean
 
 

@@ -60,6 +60,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shape"):
             CSRGraph.from_edges(3, np.zeros((2, 3), dtype=np.int64))
 
+    def test_vertex_count_beyond_int32_rejected(self):
+        # The row-major sort key row * n + col needs n < 2**31.
+        with pytest.raises(ValueError, match="int32"):
+            CSRGraph.from_edges(2 ** 31, np.zeros((0, 2), dtype=np.int64))
+
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edges(-1, [])
@@ -79,6 +84,14 @@ class TestValidation:
         indptr = np.array([0, 1, 1], dtype=np.int64)
         indices = np.array([1], dtype=np.int32)
         with pytest.raises(ValueError, match="symmetric"):
+            CSRGraph(indptr=indptr, indices=indices)
+
+    def test_validate_rejects_asymmetric_with_sorted_rows(self):
+        # A directed 3-cycle: every row sorted, every in-degree equal to
+        # its out-degree, yet no edge has its reverse.
+        indptr = np.array([0, 1, 2, 3], dtype=np.int64)
+        indices = np.array([1, 2, 0], dtype=np.int32)
+        with pytest.raises(ValueError, match="not symmetric"):
             CSRGraph(indptr=indptr, indices=indices)
 
     def test_validate_rejects_self_loop(self):
@@ -157,6 +170,20 @@ class TestPermute:
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(len(perm))
         assert grid.permute(perm).permute(inverse).structurally_equal(grid)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (7, 0), (40, 25), (60, 400),
+                                      (200, 3000)])
+    def test_permute_matches_rebuild_from_relabelled_edges(self, n, m):
+        """Oracle: relabelling the CSR equals building from relabelled
+        edges.  Small ``m`` leaves isolated vertices; ``m = 0`` is
+        edgeless."""
+        rng = np.random.default_rng(n + m)
+        for _ in range(5):
+            edges = rng.integers(0, max(n, 1), size=(m, 2))
+            g = CSRGraph.from_edges(n, edges)
+            perm = rng.permutation(n)
+            expected = CSRGraph.from_edges(n, perm[g.edge_array()])
+            assert g.permute(perm).structurally_equal(expected)
 
     def test_permute_rejects_non_permutation(self, path10):
         with pytest.raises(ValueError, match="permutation"):

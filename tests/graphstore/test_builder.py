@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
+from repro.graphstore import builder as builder_module
 from repro.graphstore.builder import StreamingCSRBuilder
 
 
@@ -107,10 +108,10 @@ class TestCrashPoints:
         edges = rng.integers(0, 50, size=(200, 2))
         builder.add_edges(edges[:, 0], edges[:, 1])
 
-        def lexsort(keys):
+        def sort_entries(*args, **kwargs):
             raise MemoryError("injected: compaction failed")
 
-        monkeypatch.setattr(np, "lexsort", lexsort)
+        monkeypatch.setattr(builder_module, "_sort_entries", sort_entries)
         with pytest.raises(MemoryError, match="injected"):
             builder.finalize()
         assert list(tmp_path.iterdir()) == []  # no .scatter/.indices left

@@ -7,6 +7,8 @@ the rename so the new directory entry survives a power failure.
 
 import os
 
+import pytest
+
 from repro._util import atomic_write_text
 
 
@@ -27,3 +29,21 @@ def test_relative_path_fsyncs_the_working_directory(tmp_path, monkeypatch,
     atomic_write_text("rel.txt", "y")
     assert durability_calls[-1] == "fsync dir"
     assert (tmp_path / "rel.txt").read_text() == "y"
+
+
+@pytest.mark.parametrize("step", ["replace", "fsync"])
+def test_failed_step_keeps_old_file_and_no_tmp(tmp_path, monkeypatch, step):
+    """Crash point: the rename or the tmp file's fsync fails.  The error
+    propagates, the previous contents stay whole and no tmp is left."""
+    path = tmp_path / "out.json"
+    atomic_write_text(path, "old\n")
+
+    def fail(*args):
+        raise OSError(f"injected: {step} failed")
+
+    monkeypatch.setattr(os, step, fail)
+    with pytest.raises(OSError, match="injected"):
+        atomic_write_text(path, "new\n")
+    monkeypatch.undo()
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
