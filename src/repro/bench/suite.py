@@ -16,9 +16,13 @@ Two suites, each with one consumer:
     byte for byte, and the profiler coverage gate runs on them.
 
 Every fig benchmark pins its environment (graphs, thread counts, fast
-mode; the result store *off* so repetitions measure compute, not cache
-hits) and restores it afterwards, so results are comparable across
-checkouts and unaffected by the caller's shell.
+mode; the result store and the graph registry *off* so repetitions
+measure compute, not cache hits) and restores it afterwards, so results
+are comparable across checkouts and unaffected by the caller's shell.
+Every run, warmup or timed, starts cold: the in-process graph, ordering,
+access-profile and BFS-width memos are emptied first, so each
+repetition pays graph generation, relabelling and profile set-up as a
+fresh ``repro-experiments`` process does.
 
 Each ``repro bench run`` appends one entry to ``BENCH_figs.json`` at
 the repo root, carrying an environment fingerprint (python, platform,
@@ -67,11 +71,12 @@ _FIG_THREADS = "1,11,31"
 def _pinned_env(pins: dict):
     """Pin environment variables for one benchmark run, then restore.
 
-    A pin of ``None`` removes the variable.  ``REPRO_STORE`` is always
-    cleared: a warm store would turn a compute benchmark into a cache-hit
-    benchmark.
+    A pin of ``None`` removes the variable.  ``REPRO_STORE`` and
+    ``REPRO_GRAPH_DIR`` are always cleared: a warm result store or graph
+    registry would turn a compute benchmark into a cache-hit benchmark.
     """
-    pins = {"REPRO_STORE": None, "REPRO_JOBS": None, **pins}
+    pins = {"REPRO_STORE": None, "REPRO_GRAPH_DIR": None, "REPRO_JOBS": None,
+            **pins}
     saved = {name: os.environ.get(name) for name in pins}
     try:
         for name, value in pins.items():
@@ -97,8 +102,25 @@ class Benchmark:
     description: str = ""
 
 
+def _forget_memos() -> None:
+    """Empty every in-process memo a fig sweep fills, and drop the graph
+    registry's handles, so the next run generates, relabels and prices
+    its graphs again."""
+    from repro.experiments.fig4_bfs import _widths
+    from repro.experiments.harness import ordered_suite_graph
+    from repro.graph.suite import suite_graph
+    from repro.graphstore import registry
+    from repro.machine.cache import _access_profile_lru
+    suite_graph.cache_clear()
+    ordered_suite_graph.cache_clear()
+    _widths.cache_clear()
+    _access_profile_lru.cache_clear()
+    registry._ACTIVE.clear()
+
+
 def _run_fig(module: str, runner: str) -> None:
     from importlib import import_module
+    _forget_memos()
     with _pinned_env({"REPRO_FAST": "1", "REPRO_GRAPHS": _FIG_GRAPHS,
                       "REPRO_THREADS": _FIG_THREADS,
                       "REPRO_PROGRESS": None}):

@@ -12,6 +12,7 @@ from repro.bench.suite import (KERNEL_CELLS, SCHEMA_VERSION, SUITES,
                                suite_benchmarks, validate_entry)
 from repro.bench.timer import FakeClock
 from repro.campaign.spec import CellSpec
+from repro.graph.csr import CSRGraph
 
 
 def fake_entry(suite="figs", median=1.0, stamp=0.0):
@@ -108,12 +109,52 @@ class TestRunSuite:
 
     def test_environment_restored_after_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "/tmp/somewhere")
+        monkeypatch.setenv("REPRO_GRAPH_DIR", "/tmp/graphs")
         monkeypatch.delenv("REPRO_FAST", raising=False)
         with _pinned_env({"REPRO_FAST": "1"}):
             assert "REPRO_STORE" not in os.environ
+            assert "REPRO_GRAPH_DIR" not in os.environ
             assert os.environ["REPRO_FAST"] == "1"
         assert os.environ["REPRO_STORE"] == "/tmp/somewhere"
+        assert os.environ["REPRO_GRAPH_DIR"] == "/tmp/graphs"
         assert "REPRO_FAST" not in os.environ
+
+    def test_every_repetition_starts_with_empty_memos(self, monkeypatch):
+        """Warmup and timed runs of a fig benchmark each start cold: no
+        memoised graph, ordering, profile, BFS widths or registry handle
+        survives from the run before, and no registry is configured."""
+        from repro.experiments import fig4_bfs, harness
+        from repro.graph import suite
+        from repro.graphstore import registry
+        from repro.machine import cache
+        from repro.machine.config import KNF
+
+        tiny = CSRGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        memos = (suite.suite_graph, harness.ordered_suite_graph,
+                 fig4_bfs._widths, cache._access_profile_lru)
+        seen = []
+
+        def probe():
+            seen.append(([m.cache_info().currsize for m in memos],
+                         dict(registry._ACTIVE),
+                         os.environ.get("REPRO_GRAPH_DIR")))
+            # Fill every memo as a real sweep would.
+            harness.ordered_suite_graph("auto", "random")
+            fig4_bfs._widths("auto")
+            cache._access_profile_lru(tiny, KNF, 1, 4, 1.0)
+            registry._ACTIVE["/tmp/graphs"] = None
+
+        monkeypatch.setattr(suite, "tube_mesh", lambda *a, **k: tiny)
+        monkeypatch.setattr(fig4_bfs, "run_fig4", probe)
+        monkeypatch.setenv("REPRO_GRAPH_DIR", "/tmp/graphs")
+        try:
+            run_suite(repeat=3, warmup=1, name_filter="fig4",
+                      clock=FakeClock(), stamp=lambda: 0.0)
+        finally:
+            for memo in memos:
+                memo.cache_clear()
+            registry._ACTIVE.clear()
+        assert seen == [([0, 0, 0, 0], {}, None)] * 4
 
     def test_env_fingerprint_fields(self):
         env = env_fingerprint()
