@@ -4,9 +4,8 @@ The graph kernels' dominant memory traffic is the *random* read of a
 per-vertex state array (``color[w]``, ``bfs[w]``, ``state[w]``) for every
 neighbour ``w``, plus the *streamed* scan of the CSR adjacency itself.
 This module turns the graph structure and an ordering into per-vertex
-expected stall cycles and DRAM line volumes — vectorised over all CSR
-entries at once — which :mod:`repro.machine.costs` assembles into kernel
-cost arrays.
+expected stall cycles and DRAM line volumes, which
+:mod:`repro.machine.costs` assembles into kernel cost arrays.
 
 Model (DESIGN.md §3).  For an access by vertex ``v`` to neighbour ``w``:
 
@@ -29,12 +28,23 @@ Model (DESIGN.md §3).  For an access by vertex ``v`` to neighbour ``w``:
 ``cache_scale`` shrinks the simulated cache to match a scaled-down graph
 (suite graphs are ≈1/8 of the paper's, so the cache is too — keeping the
 working-set/cache ratio of the real machine).
+
+Evaluation.  Every per-entry quantity depends on an entry only through
+``d``, so it is tabulated once per distance.  The sweep then walks the
+CSR in row-aligned blocks of at most :data:`BLOCK_ENTRIES` entries,
+gathers the tables by each block's distances and sums them per vertex
+with a cumulative sum that starts from the previous blocks' total: the
+same floats as one cumulative sum over every entry, in O(vertices +
+block) memory.  The entry-weighted hit fractions are sums over every
+entry; they are computed on first read (telemetry, reports, tests), so
+an unobserved run never holds an array of CSR-entry length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +56,11 @@ __all__ = ["AccessProfile", "access_profile", "access_profile_cached"]
 
 #: Bytes per CSR index entry (int32 adjacency, as in the paper's C codes).
 INDEX_BYTES = 4
+
+#: CSR entries priced per block of the sweep.  A block's distances,
+#: gathered values and prefix sums take about 1.3 MiB, so the sweep's
+#: working memory does not grow with the edge count.
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,22 +77,71 @@ class AccessProfile:
         Expected DRAM lines transferred per vertex (random misses plus the
         streamed adjacency).
     p_local / p_remote / p_dram:
-        Edge-weighted average hit fractions (for reports and tests).
+        Edge-weighted average hit fractions (for reports, telemetry and
+        tests).  *hit_split* computes them over every CSR entry on first
+        read; the result is kept on the instance.
     """
 
     stall: np.ndarray
     volume: np.ndarray
-    p_local: float
-    p_remote: float
-    p_dram: float
+    hit_split: Callable[[], tuple[float, float, float]] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def _split(self) -> tuple[float, float, float]:
+        return self.hit_split()
+
+    @property
+    def p_local(self) -> float:
+        return self._split[0]
+
+    @property
+    def p_remote(self) -> float:
+        return self._split[1]
+
+    @property
+    def p_dram(self) -> float:
+        return self._split[2]
 
 
-def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum *values* over CSR segments (robust to empty segments)."""
-    cs = np.empty(len(values) + 1)
-    cs[0] = 0.0
-    np.cumsum(values, out=cs[1:])
-    return cs[indptr[1:]] - cs[indptr[:-1]]
+def _entry_distances(graph: CSRGraph, r0: int, r1: int) -> np.ndarray:
+    """ID distances ``|v - w|`` of the CSR entries of rows ``r0:r1``
+    (int32: both IDs are below ``n < 2**31``)."""
+    dist = np.repeat(np.arange(r0, r1, dtype=np.int32),
+                     graph.degrees[r0:r1])
+    dist -= graph.indices[graph.indptr[r0]:graph.indptr[r1]]
+    return np.abs(dist, out=dist)
+
+
+def _row_blocks(indptr: np.ndarray):
+    """Row ranges ``(r0, r1)`` holding at most :data:`BLOCK_ENTRIES`
+    entries each; a row longer than that is a block of its own."""
+    n = len(indptr) - 1
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + BLOCK_ENTRIES,
+                                 side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
+
+
+def _hit_fractions(graph: CSRGraph, p_local: np.ndarray,
+                   p_remote: np.ndarray,
+                   p_dram: np.ndarray) -> tuple[float, float, float]:
+    """Entry-weighted ``(local, peer, dram)`` hit fractions of the sweep.
+
+    Each is a (pairwise) numpy sum of its per-distance table gathered over
+    every CSR entry, divided by the entry count: the one place the model
+    holds an entry-length array, so it runs only when a fraction is read.
+    """
+    dist = _entry_distances(graph, 0, graph.n_vertices)
+    entries = np.empty(len(dist))
+    total = max(1, len(dist))
+    local, remote, dram = (
+        float(np.take(table, dist, out=entries, mode="clip").sum() / total)
+        for table in (p_local, p_remote, p_dram))
+    return local, remote, dram
 
 
 def access_profile(
@@ -96,6 +160,11 @@ def access_profile(
     Every per-entry quantity depends on the entry only through its
     integer ID distance, so each is evaluated once per distance and
     gathered by distance: the same floats as evaluating it per entry.
+    The gather and the per-vertex sums run over row-aligned blocks of
+    at most :data:`BLOCK_ENTRIES` entries, each block's cumulative sum
+    starting from the running total of the blocks before it, so every
+    prefix — and every ``stall[v]``/``volume[v]`` — is the float a
+    cumulative sum over all entries at once gives.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -107,16 +176,14 @@ def access_profile(
     n = graph.n_vertices
     if n == 0:
         empty = np.zeros(0)
-        return AccessProfile(empty, empty, 1.0, 0.0, 0.0)
+        return AccessProfile(empty, empty, lambda: (1.0, 0.0, 0.0))
 
     line = config.line_bytes
+    indptr, indices = graph.indptr, graph.indices
     degrees = graph.degrees.astype(np.float64)
     avg_deg = max(1.0, float(degrees.mean()))
 
     # --- per-distance local-hit probability -----------------------------
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    src -= graph.indices
-    dist = np.abs(src, out=src)
     # Sweep footprint: *new* lines touched per vertex swept — its
     # state-array share and its adjacency-stream share.  (Neighbour lines
     # are not counted separately: in a banded ordering consecutive
@@ -124,7 +191,13 @@ def access_profile(
     # ordering the ID-distance term below already drives the reuse
     # distance past any cache size.)
     footprint = state_bytes / line + avg_deg * INDEX_BYTES / line + 0.5
-    span = int(dist.max()) + 1 if len(dist) else 1
+    # Rows are sorted, so a row's largest distance is to its first or
+    # its last neighbour.
+    rows = np.flatnonzero(graph.degrees)
+    span = 1
+    if len(rows):
+        span += int(max((rows - indices[indptr[rows]]).max(),
+                        (indices[indptr[rows + 1] - 1] - rows).max()))
     reuse = footprint * np.arange(span, dtype=np.float64)
 
     threads_per_core = -(-n_threads // config.n_cores)
@@ -149,19 +222,29 @@ def access_profile(
                        + p_remote * config.remote_hit_cycles
                        + p_dram * config.dram_cycles)
 
-    # --- aggregate per vertex (segment sums over the CSR layout) ---------
-    # One entry-length buffer takes each gathered table in turn (every
+    # --- aggregate per vertex: blocked segment sums over the CSR --------
+    # Per table, ``prefix[0]`` holds the running sum of every earlier
+    # block and ``prefix[1:]`` the block's prefix sums continuing it, so
+    # a row's sum is the difference of its two boundary prefixes (every
     # distance is in range, so "clip" only skips numpy's bounds buffer).
-    entries = np.empty(len(dist))
-
-    def per_entry(table):
-        return np.take(table, dist, out=entries, mode="clip")
-
-    stall = _segment_sum(per_entry(per_entry_stall), graph.indptr)
-    volume = _segment_sum(per_entry(p_dram), graph.indptr)
-    dram_sum = entries.sum()
-    local_sum = per_entry(p_local).sum()
-    remote_sum = per_entry(p_remote).sum()
+    stall = np.empty(n)
+    volume = np.empty(n)
+    sums = ((per_entry_stall, stall), (p_dram, volume))
+    carry = [0.0] * len(sums)
+    for r0, r1 in _row_blocks(indptr):
+        dist = _entry_distances(graph, r0, r1)
+        bounds = indptr[r0:r1 + 1] - indptr[r0]
+        entries = np.empty(len(dist))
+        prefix = np.empty(len(dist) + 1)
+        for i, (table, out) in enumerate(sums):
+            prefix[0] = carry[i]
+            np.take(table, dist, out=entries, mode="clip")
+            if len(entries):
+                entries[0] += carry[i]
+                np.cumsum(entries, out=prefix[1:])
+            carry[i] = prefix[-1]
+            np.subtract(prefix[bounds[1:]], prefix[bounds[:-1]],
+                        out=out[r0:r1])
 
     # Streamed adjacency: deg * INDEX_BYTES / line lines per vertex, mostly
     # hidden by prefetch (config.stream_visibility exposes a fraction).
@@ -169,14 +252,9 @@ def access_profile(
     volume += stream_lines
     stall += config.stream_visibility * config.dram_cycles * stream_lines
 
-    total = max(1, len(dist))
-    return AccessProfile(
-        stall=stall,
-        volume=volume,
-        p_local=float(local_sum / total),
-        p_remote=float(remote_sum / total),
-        p_dram=float(dram_sum / total),
-    )
+    return AccessProfile(stall, volume,
+                         partial(_hit_fractions, graph, p_local, p_remote,
+                                 p_dram))
 
 
 @lru_cache(maxsize=1024)

@@ -251,6 +251,54 @@ class TestIntegrity:
         assert store.verify().clean
 
 
+class TestFailedQuarantine:
+    """The move into ``quarantine/`` fails (``os.replace`` raises): the
+    corrupt object stays where it is, reads as a miss, is reported as
+    corrupt, and a later ``put`` replaces it."""
+
+    @staticmethod
+    def corrupt_object(store):
+        key = store.put(SPEC, 1.0)
+        path = os.path.join(store.root, "objects", key[:2],
+                            f"{key[2:]}.json")
+        with open(path, "a") as fh:
+            fh.write("garbage")
+        return path
+
+    @staticmethod
+    def fail_replace(monkeypatch):
+        def boom(*args, **kwargs):
+            raise OSError("injected failure of the quarantine move")
+        monkeypatch.setattr(os, "replace", boom)
+
+    def test_get_is_a_miss_and_leaves_the_file(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        path = self.corrupt_object(store)
+        with monkeypatch.context() as m:
+            self.fail_replace(m)
+            assert store.get(SPEC) is None
+        assert store.stats.misses == 1
+        assert store.stats.corrupt == 1
+        assert store.stats.quarantined == 0
+        assert os.path.exists(path)
+
+        store.put(SPEC, 2.0)
+        assert store.get(SPEC) == 2.0
+        assert store.verify().clean
+
+    def test_verify_repair_reports_corrupt(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        path = self.corrupt_object(store)
+        with monkeypatch.context() as m:
+            self.fail_replace(m)
+            report = store.verify(repair=True)
+        assert report.corrupt == [path]
+        assert report.quarantined == []
+        assert not report.clean
+        assert store.stats.quarantined == 0
+        assert os.path.exists(path)
+
+
 class _CrashAfterWrite:
     """File wrapper whose ``write`` lands its bytes, then crashes."""
 
