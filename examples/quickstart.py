@@ -15,7 +15,7 @@ from repro.runtime import ProgrammingModel, RuntimeSpec, Schedule
 
 def main():
     # 1. Build a graph. tube_mesh mimics the paper's FEM matrices; any
-    #    CSRGraph works (see repro.graph.generators and repro.graph.io).
+    #    CSRGraph works (see repro.graph.generators).
     graph = tube_mesh(20_000, section=120, clique=12, cliques_per_vertex=1.0,
                       coupling=4, seed=42, name="demo")
     print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges, "

@@ -4,7 +4,7 @@ Algorithms on the Intel MIC Architecture* (Saule & Çatalyürek, IPDPS-W 2012).
 The package provides:
 
 * :mod:`repro.graph` — a CSR graph substrate with FEM-style generators that
-  mirror the paper's seven test matrices, reordering, and I/O.
+  mirror the paper's seven test matrices, plus reordering.
 * :mod:`repro.sim` — a deterministic discrete-event engine.
 * :mod:`repro.machine` — a timing model of a many-core chip (Knights Ferry
   and a dual-Xeon host), including an SMT core model and a cache/locality

@@ -13,10 +13,8 @@ from repro.experiments.harness import (
     env_csv,
     fast_mode,
     ordered_suite_graph,
-    repeat_average,
 )
-from repro.experiments.report import (format_panel, format_panel_per_graph,
-                                      format_rows, print_panel)
+from repro.experiments.report import format_panel, format_rows, print_panel
 from repro.experiments.table1 import table1_rows, format_table1, run_table1
 from repro.experiments.fig1_coloring import (
     COLORING_VARIANTS,
@@ -49,7 +47,6 @@ from repro.experiments.fig_faults import (
 )
 from repro.experiments.chunk_sweep import run_chunk_sweep, CHUNK_SIZES
 from repro.experiments.rmat_bfs import run_rmat_bfs, rmat_direction_savings
-from repro.experiments.save import save_panels, load_panels, panel_to_dict, panel_from_dict
 from repro.experiments.ablations import (
     run_block_size_ablation,
     run_relaxed_ablation,
@@ -63,8 +60,8 @@ __all__ = [
     "THREADS_MIC", "THREADS_HOST", "PanelResult", "run_panel", "geomean",
     "panel_graphs", "panel_threads", "parse_graph_names",
     "parse_thread_counts", "env_csv", "fast_mode",
-    "ordered_suite_graph", "repeat_average",
-    "format_panel", "format_panel_per_graph", "format_rows", "print_panel",
+    "ordered_suite_graph",
+    "format_panel", "format_rows", "print_panel",
     "table1_rows", "format_table1", "run_table1",
     "COLORING_VARIANTS", "BEST_PER_MODEL", "coloring_cycles", "run_fig1",
     "run_fig2", "PAPER_FIG2_AT_121",

@@ -42,7 +42,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -313,22 +312,6 @@ def run_panel(
                         f"retr{'y' if retries == 1 else 'ies'} — "
                         + "; ".join(shown) + more)
     return result
-
-
-def repeat_average(fn: Callable[[int], float], runs: int = 10,
-                   keep_last: int = 5, seed0: int = 0) -> float:
-    """The paper's §V-A repetition protocol: "10 runs are performed, we
-    report the average of the last 5 runs" (the first runs warm the
-    runtime up; in the simulation they vary only through scheduler
-    randomness, so this averages out steal-order noise).
-
-    ``fn(seed) -> cycles``.
-    """
-    if runs < 1 or not 1 <= keep_last <= runs:
-        raise ValueError(f"need 1 <= keep_last <= runs, got {keep_last}/{runs}")
-    values = [fn(seed0 + i) for i in range(runs)]
-    tail = values[-keep_last:]
-    return float(np.mean(tail))
 
 
 def scale_of(name: str) -> float:

@@ -44,20 +44,6 @@ def format_panel(panel: PanelResult) -> str:
     return "\n".join(out)
 
 
-def format_panel_per_graph(panel: PanelResult, variant: str) -> str:
-    """Per-graph detail for one series (the figures' geomean, unfolded)."""
-    graphs = sorted({g for (v, g) in panel.per_graph if v == variant})
-    if not graphs:
-        raise KeyError(f"no per-graph data for variant {variant!r}")
-    headers = ["threads"] + graphs
-    rows = []
-    for i, t in enumerate(panel.thread_counts):
-        rows.append(tuple([t] + [float(panel.per_graph[(variant, g)][i])
-                                 for g in graphs]))
-    return (f"== {panel.title} -- {variant}, per graph ==\n"
-            + format_rows(headers, rows))
-
-
 def print_panel(panel: PanelResult) -> None:
     """Print a panel followed by a blank separator line."""
     print(format_panel(panel))

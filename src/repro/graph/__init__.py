@@ -1,21 +1,19 @@
-"""Graph substrate: CSR storage, generators, the evaluation suite,
-reordering and I/O."""
+"""Graph substrate: CSR storage, generators, the evaluation suite and
+reordering."""
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     fem_mesh,
     tube_mesh,
     grid2d,
-    grid3d,
     erdos_renyi,
     rmat,
     chain,
     star,
     complete,
-    random_regular_ish,
 )
 from repro.graph.suite import (SUITE, PAPER_TABLE1, SuiteSpec, suite_graph,
-                               suite_graphs, suite_scale)
+                               suite_scale)
 from repro.graph.reorder import (
     ORDERINGS,
     apply_ordering,
@@ -30,16 +28,6 @@ from repro.graph.properties import (
     bfs_levels,
     connected_components,
     bandwidth,
-    envelope_profile,
-    degree_histogram,
-    locality_summary,
-)
-from repro.graph.io import (
-    read_matrix_market,
-    write_matrix_market,
-    read_edge_list,
-    write_edge_list,
-    load_graph,
 )
 
 __all__ = [
@@ -47,18 +35,15 @@ __all__ = [
     "fem_mesh",
     "tube_mesh",
     "grid2d",
-    "grid3d",
     "erdos_renyi",
     "rmat",
     "chain",
     "star",
     "complete",
-    "random_regular_ish",
     "SUITE",
     "PAPER_TABLE1",
     "SuiteSpec",
     "suite_graph",
-    "suite_graphs",
     "suite_scale",
     "ORDERINGS",
     "apply_ordering",
@@ -71,12 +56,4 @@ __all__ = [
     "bfs_levels",
     "connected_components",
     "bandwidth",
-    "envelope_profile",
-    "degree_histogram",
-    "locality_summary",
-    "read_matrix_market",
-    "write_matrix_market",
-    "read_edge_list",
-    "write_edge_list",
-    "load_graph",
 ]

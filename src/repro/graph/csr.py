@@ -141,17 +141,6 @@ class CSRGraph:
         object.__setattr__(graph, "_degrees", np.diff(indptr))
         return graph
 
-    @classmethod
-    def from_scipy(cls, matrix, name: str = "graph") -> "CSRGraph":
-        """Build from a scipy sparse matrix (pattern only, symmetrised)."""
-        import scipy.sparse as sp
-
-        m = sp.coo_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        edges = np.stack([m.row, m.col], axis=1)
-        return cls.from_edges(m.shape[0], edges, name=name)
-
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------

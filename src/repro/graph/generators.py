@@ -43,13 +43,11 @@ __all__ = [
     "fem_mesh",
     "tube_mesh",
     "grid2d",
-    "grid3d",
     "erdos_renyi",
     "rmat",
     "chain",
     "star",
     "complete",
-    "random_regular_ish",
 ]
 
 
@@ -221,21 +219,6 @@ def grid2d(nx: int, ny: int, diagonal: bool = False, name: str = "grid2d") -> CS
     return CSRGraph.from_edges(nx * ny, edges, name=name)
 
 
-def grid3d(nx: int, ny: int, nz: int, name: str = "grid3d") -> CSRGraph:
-    """``nx × ny × nz`` lattice with a 6-point stencil."""
-    check_positive("nx", nx)
-    check_positive("ny", ny)
-    check_positive("nz", nz)
-    idx = np.arange(nx * ny * nz, dtype=np.int64).reshape(nz, ny, nx)
-    parts = [
-        np.stack([idx[:, :, :-1].ravel(), idx[:, :, 1:].ravel()], axis=1),
-        np.stack([idx[:, :-1, :].ravel(), idx[:, 1:, :].ravel()], axis=1),
-        np.stack([idx[:-1, :, :].ravel(), idx[1:, :, :].ravel()], axis=1),
-    ]
-    edges = np.concatenate(parts, axis=0)
-    return CSRGraph.from_edges(nx * ny * nz, edges, name=name)
-
-
 def erdos_renyi(n: int, m: int, seed=0, name: str = "erdos_renyi") -> CSRGraph:
     """G(n, m)-style random graph: *m* edge slots sampled uniformly.
 
@@ -311,19 +294,3 @@ def complete(n: int, name: str = "complete") -> CSRGraph:
     check_positive("n", n)
     iu, iv = np.triu_indices(n, k=1)
     return CSRGraph.from_edges(n, np.stack([iu, iv], axis=1), name=name)
-
-
-def random_regular_ish(n: int, degree: int, seed=0, name: str = "regular") -> CSRGraph:
-    """Approximately *degree*-regular random graph via permutation matchings.
-
-    Used by ablation benches that need uniform work per vertex; exact
-    regularity is not guaranteed (collisions are dropped).
-    """
-    check_positive("n", n)
-    check_positive("degree", degree)
-    rng = rng_from_seed(seed)
-    builder = StreamingCSRBuilder(n)
-    for _ in range((degree + 1) // 2):
-        perm = rng.permutation(n).astype(np.int64)
-        builder.add_edges(np.arange(n, dtype=np.int64), perm)
-    return builder.finalize(name=name)

@@ -15,8 +15,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 
 __all__ = ["GraphProperties", "graph_properties", "bfs_levels",
-           "connected_components", "bandwidth", "envelope_profile",
-           "degree_histogram", "locality_summary"]
+           "connected_components", "bandwidth"]
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,6 @@ class GraphProperties:
     n_colors: int
     n_bfs_levels: int
     n_components: int
-
-    def as_row(self) -> tuple:
-        """Row in Table I column order: name, |V|, |E|, Δ, #Color, #Level."""
-        return (self.name, self.n_vertices, self.n_edges, self.max_degree,
-                self.n_colors, self.n_bfs_levels)
 
 
 def bfs_levels(graph: CSRGraph, source: int | None = None) -> int:
@@ -73,45 +67,6 @@ def bandwidth(graph: CSRGraph) -> int:
         return 0
     src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), graph.degrees)
     return int(np.abs(src - graph.indices).max())
-
-
-def envelope_profile(graph: CSRGraph) -> int:
-    """Envelope (profile) size: ``sum_v max(0, v - min(adj(v)))``.
-
-    The classic sparse-matrix storage metric that bandwidth-reducing
-    orderings optimise; reported alongside Table I in the docs.
-    """
-    n = graph.n_vertices
-    if not len(graph.indices):
-        return 0
-    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    np.minimum.at(first, src, graph.indices.astype(np.int64))
-    has = graph.degrees > 0
-    return int(np.maximum(0, np.arange(n)[has] - first[has]).sum())
-
-
-def degree_histogram(graph: CSRGraph) -> np.ndarray:
-    """``hist[d]`` = number of vertices of degree ``d``."""
-    if graph.n_vertices == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.bincount(graph.degrees).astype(np.int64)
-
-
-def locality_summary(graph: CSRGraph) -> dict:
-    """Ordering-locality statistics the cache model depends on:
-    mean/median/max vertex-ID distance over edges, and bandwidth."""
-    if not len(graph.indices):
-        return {"mean_distance": 0.0, "median_distance": 0.0,
-                "max_distance": 0, "bandwidth": 0}
-    src = np.repeat(np.arange(graph.n_vertices, dtype=np.int64), graph.degrees)
-    d = np.abs(src - graph.indices)
-    return {
-        "mean_distance": float(d.mean()),
-        "median_distance": float(np.median(d)),
-        "max_distance": int(d.max()),
-        "bandwidth": int(d.max()),
-    }
 
 
 def graph_properties(graph: CSRGraph, source: int | None = None) -> GraphProperties:

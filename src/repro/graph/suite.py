@@ -38,8 +38,7 @@ from functools import lru_cache
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import tube_mesh
 
-__all__ = ["SuiteSpec", "SUITE", "PAPER_TABLE1", "suite_graph", "suite_graphs",
-           "suite_scale"]
+__all__ = ["SuiteSpec", "SUITE", "PAPER_TABLE1", "suite_graph", "suite_scale"]
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,3 @@ def suite_graph(name: str) -> CSRGraph:
     return tube_mesh(s.n, s.section, s.clique, s.cliques_per_vertex, s.coupling,
                      hubs=s.hubs, hub_degree=s.hub_degree, seed=s.seed,
                      name=s.name)
-
-
-def suite_graphs() -> dict[str, CSRGraph]:
-    """All seven suite graphs, keyed by name (Table I order)."""
-    return {name: suite_graph(name) for name in SUITE}

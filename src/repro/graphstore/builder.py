@@ -37,20 +37,12 @@ import tempfile
 import numpy as np
 import numpy.typing as npt
 
-from repro._util import env_int
 from repro.graph.csr import CSRGraph, _sort_entries
 
 __all__ = ["StreamingCSRBuilder", "DEFAULT_BLOCK_EDGES"]
 
-#: Directed entries processed per block (``REPRO_GRAPH_BLOCK`` overrides).
+#: Directed entries processed per block.
 DEFAULT_BLOCK_EDGES = 1 << 20
-
-
-def default_block_edges() -> int:
-    """Block granularity from ``REPRO_GRAPH_BLOCK`` (entries per block)."""
-    value = env_int("REPRO_GRAPH_BLOCK", DEFAULT_BLOCK_EDGES, lo=1024)
-    assert value is not None
-    return value
 
 
 class StreamingCSRBuilder:
@@ -68,7 +60,7 @@ class StreamingCSRBuilder:
             raise ValueError(f"n_vertices {n_vertices} exceeds int32 range")
         self.n_vertices = int(n_vertices)
         self.block_edges = int(block_edges if block_edges is not None
-                               else default_block_edges())
+                               else DEFAULT_BLOCK_EDGES)
         if self.block_edges < 2:
             raise ValueError(f"block_edges must be >= 2, got {block_edges}")
         self._workdir = workdir

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._util import env_float
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (AccessSet, KernelRun, gather_neighbors,
                                 wave_partition)
@@ -35,7 +34,7 @@ from repro.machine.costs import (WorkCosts, coloring_conflict_costs,
                                  coloring_tentative_costs)
 from repro.runtime.base import RuntimeSpec
 
-__all__ = ["ColoringRun", "parallel_coloring", "color_race_fraction"]
+__all__ = ["ColoringRun", "parallel_coloring"]
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _ONE = np.uint64(1)
@@ -50,18 +49,6 @@ _ONE = np.uint64(1)
 #: unchanged degree, so simultaneously-processed vertices are ~5x more
 #: likely to be adjacent than at paper scale (EXPERIMENTS.md).
 COLOR_RACE_FRACTION = 0.05
-
-
-def color_race_fraction() -> float:
-    """The effective race fraction: :data:`COLOR_RACE_FRACTION`, or the
-    validated ``REPRO_COLOR_RACE_FRACTION`` environment override.
-
-    Read per run (not at import) so a harness can sweep the calibration
-    without reloading the module; values outside ``[0, 1]`` are rejected
-    (a probability).
-    """
-    return env_float("REPRO_COLOR_RACE_FRACTION", COLOR_RACE_FRACTION,
-                     lo=0.0, hi=1.0)
 
 
 @dataclass
@@ -127,7 +114,7 @@ def parallel_coloring(
 
     write_time = np.full(n, -1, dtype=np.int64)
     time_counter = 0
-    race_fraction = color_race_fraction()
+    race_fraction = COLOR_RACE_FRACTION
 
     visit = np.arange(n, dtype=np.int64)
     tls_entries = graph.max_degree + 1

@@ -78,11 +78,6 @@ class MachineConfig:
                 f"{n_threads} threads exceed {self.name}'s "
                 f"{self.max_threads} hardware contexts")
 
-    @property
-    def aggregate_cache_lines(self) -> int:
-        """Chip-wide cache capacity in lines."""
-        return self.n_cores * self.cache_lines_per_core
-
     def barrier_cost(self, parties: int) -> float:
         """Release cost of a *parties*-thread barrier (log-tree of ring hops)."""
         if parties <= 1:

@@ -4,14 +4,16 @@ A companion to the paper's BFS model: for a kernel whose average vertex
 costs ``compute`` issue cycles and ``stall`` exposed-latency cycles, a
 machine with ``cores`` in-order cores and scatter-placed threads executes
 at per-vertex rate ``max(k * compute, compute + stall) / k`` per thread
-(``k`` = threads per core), giving the closed-form speedup used by the
-ablation benches to sanity-check the event simulation::
+(``k`` = threads per core), giving the closed-form speedup::
 
     speedup(t) = t * (compute + stall) / max(k * compute, compute + stall)
 
 Memory-bound kernels (``stall >> compute``) scale linearly in *threads*;
 compute-bound kernels cap at ``cores * (1 + stall/compute)`` — the two
 regimes of the paper's Figures 2 and 3.
+``tests/machine/test_model_consistency.py`` checks the event simulation
+against :func:`smt_speedup`, and ``examples/mic_scaling_study.py``
+reports :func:`saturation_threads`.
 """
 
 from __future__ import annotations

@@ -126,26 +126,18 @@ def test_obs_counters_emitted_alongside():
     assert "check.loops" in registry.snapshot()
 
 
-def test_race_fraction_env_override(graph, monkeypatch):
-    from repro.kernels.coloring.parallel import color_race_fraction
-
-    monkeypatch.setenv("REPRO_COLOR_RACE_FRACTION", "0.5")
-    assert color_race_fraction() == 0.5
-    monkeypatch.setenv("REPRO_COLOR_RACE_FRACTION", "1.5")
-    with pytest.raises(ValueError, match="REPRO_COLOR_RACE_FRACTION"):
-        color_race_fraction()
-    monkeypatch.setenv("REPRO_COLOR_RACE_FRACTION", "nope")
-    with pytest.raises(ValueError, match="REPRO_COLOR_RACE_FRACTION"):
-        color_race_fraction()
-    monkeypatch.delenv("REPRO_COLOR_RACE_FRACTION")
-    from repro.kernels.coloring.parallel import COLOR_RACE_FRACTION
-    assert color_race_fraction() == COLOR_RACE_FRACTION
-
-
-def test_race_fraction_zero_eliminates_conflicts(graph, monkeypatch):
+def test_race_fraction_zero_eliminates_conflicts(monkeypatch):
     """The fraction bounds realised speculation: at 0 every clash behaves
     as if the concurrent commit was seen, so no conflict rounds occur."""
-    monkeypatch.setenv("REPRO_COLOR_RACE_FRACTION", "0")
-    run = parallel_coloring(graph, 4, config=CFG, seed=1)
+    from repro.kernels.coloring import parallel
+
+    # The module's small fixture graph has no clashes at any fraction;
+    # this one has some when every clash races.
+    dense = erdos_renyi(2000, 16000, seed=7)
+    monkeypatch.setattr(parallel, "COLOR_RACE_FRACTION", 1.0)
+    racing = parallel_coloring(dense, 4, config=CFG, seed=1)
+    assert sum(racing.conflicts_per_round) > 0
+    monkeypatch.setattr(parallel, "COLOR_RACE_FRACTION", 0.0)
+    run = parallel_coloring(dense, 4, config=CFG, seed=1)
     assert sum(run.conflicts_per_round) == 0
     assert run.rounds == 1

@@ -149,45 +149,6 @@ class TestRunPanel:
         assert v == panel.at("fast", 20)
 
 
-class TestRepeatAverage:
-    def test_averages_last_k(self):
-        from repro.experiments.harness import repeat_average
-        calls = []
-
-        def fn(seed):
-            calls.append(seed)
-            return float(seed)
-
-        # seeds 0..9, average of last 5 => mean(5..9) = 7
-        assert repeat_average(fn, runs=10, keep_last=5) == 7.0
-        assert calls == list(range(10))
-
-    def test_invalid(self):
-        from repro.experiments.harness import repeat_average
-        import pytest
-        with pytest.raises(ValueError):
-            repeat_average(lambda s: 1.0, runs=0)
-        with pytest.raises(ValueError):
-            repeat_average(lambda s: 1.0, runs=3, keep_last=4)
-
-
-class TestPerGraphReport:
-    def test_unfolds_geomean(self, sweep):
-        from repro.experiments.report import format_panel_per_graph
-
-        panel = sweep(TestRunPanel.runner, ["fast"],
-                          graphs=["g1", "g2"], threads=[1, 10])
-        out = format_panel_per_graph(panel, "fast")
-        assert "g1" in out and "g2" in out
-
-    def test_unknown_variant(self):
-        import pytest
-        from repro.experiments.report import format_panel_per_graph
-        from repro.experiments.harness import PanelResult
-        with pytest.raises(KeyError):
-            format_panel_per_graph(PanelResult("t", [1]), "nope")
-
-
 class TestThreadsValidation:
     @pytest.mark.parametrize("bad", ["0", "-3", "1,0,2", "abc", "1,abc"])
     def test_rejects_bad_entries(self, monkeypatch, bad):

@@ -69,15 +69,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph.from_edges(-1, [])
 
-    def test_from_scipy_roundtrip(self, grid):
-        g2 = CSRGraph.from_scipy(grid.to_scipy())
-        assert grid.structurally_equal(g2)
-
-    def test_from_scipy_rejects_nonsquare(self):
-        import scipy.sparse as sp
-        with pytest.raises(ValueError, match="square"):
-            CSRGraph.from_scipy(sp.coo_matrix(np.ones((2, 3))))
-
 
 class TestValidation:
     def test_validate_rejects_asymmetric(self):

@@ -5,8 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from repro.graph.generators import (chain, complete, erdos_renyi, fem_mesh,
-                                    grid2d, grid3d, random_regular_ish, rmat,
-                                    star, tube_mesh)
+                                    grid2d, rmat, star, tube_mesh)
 
 
 def n_components(g):
@@ -47,14 +46,8 @@ class TestBasicGenerators:
         assert g.has_edge(0, 4)  # (0,0)-(1,1)
         assert g.has_edge(1, 3)  # anti-diagonal
 
-    def test_grid3d_counts(self):
-        g = grid3d(3, 3, 3)
-        assert g.n_vertices == 27
-        assert g.n_edges == 3 * (2 * 3 * 3)
-
     def test_grid_connected(self):
         assert n_components(grid2d(5, 7)) == 1
-        assert n_components(grid3d(3, 4, 2)) == 1
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -93,10 +86,6 @@ class TestRandomGenerators:
     def test_rmat_rejects_bad_probabilities(self):
         with pytest.raises(ValueError, match="probabilities"):
             rmat(4, a=0.6, b=0.3, c=0.3)
-
-    def test_random_regular_ish(self):
-        g = random_regular_ish(100, 6, seed=3)
-        assert abs(g.average_degree - 6) < 1.2
 
 
 class TestFemMesh:

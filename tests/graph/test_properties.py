@@ -50,7 +50,6 @@ class TestGraphProperties:
         assert p.max_degree == 4
         assert p.n_colors == 2  # grid is bipartite; greedy finds 2
         assert p.n_components == 1
-        assert p.as_row() == ("g55", 25, 40, 4, 2, p.n_bfs_levels)
 
     def test_complete_colors(self):
         p = graph_properties(complete(7))

@@ -1,12 +1,8 @@
-"""Extended property metrics: bandwidth, envelope, locality."""
-
-import numpy as np
-import pytest
+"""Extended property metrics: bandwidth."""
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import chain, complete, grid2d, tube_mesh
-from repro.graph.properties import (bandwidth, degree_histogram,
-                                    envelope_profile, locality_summary)
+from repro.graph.generators import chain, complete, tube_mesh
+from repro.graph.properties import bandwidth
 from repro.graph.reorder import apply_ordering
 
 
@@ -31,50 +27,3 @@ class TestBandwidth:
         rcm = apply_ordering(shuffled, "rcm")
         assert bandwidth(rcm) < bandwidth(shuffled) / 2
 
-
-class TestEnvelope:
-    def test_chain(self):
-        # vertex v's first neighbour is v-1 (except vertex 0): sum = n-1
-        assert envelope_profile(chain(10)) == 9
-
-    def test_empty(self):
-        assert envelope_profile(CSRGraph.from_edges(3, [])) == 0
-
-    def test_grid_positive(self):
-        assert envelope_profile(grid2d(5, 5)) > 0
-
-    def test_ordering_sensitivity(self):
-        g = tube_mesh(400, 20, 6, 1.0, 2, seed=2)
-        shuffled = apply_ordering(g, "random", seed=3)
-        assert envelope_profile(shuffled) > envelope_profile(g)
-
-
-class TestDegreeHistogram:
-    def test_counts(self):
-        hist = degree_histogram(complete(5))
-        assert hist[4] == 5
-        assert hist.sum() == 5
-
-    def test_chain(self):
-        hist = degree_histogram(chain(6))
-        assert hist[1] == 2 and hist[2] == 4
-
-    def test_empty_graph(self):
-        assert len(degree_histogram(CSRGraph.from_edges(0, []))) == 0
-
-
-class TestLocalitySummary:
-    def test_chain_distances(self):
-        s = locality_summary(chain(8))
-        assert s["mean_distance"] == 1.0
-        assert s["bandwidth"] == 1
-
-    def test_edgeless(self):
-        s = locality_summary(CSRGraph.from_edges(5, []))
-        assert s["mean_distance"] == 0.0
-
-    def test_shuffle_visible(self):
-        g = tube_mesh(600, 30, 8, 1.0, 3, seed=4)
-        shuffled = apply_ordering(g, "random", seed=4)
-        assert locality_summary(shuffled)["mean_distance"] > \
-            3 * locality_summary(g)["mean_distance"]

@@ -22,6 +22,7 @@ import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, fem_mesh, rmat, tube_mesh
+from repro.graphstore import builder
 
 TUBE_PARAMS = dict(section=30, clique=8, cliques_per_vertex=1.0,
                    coupling=3, hubs=4, hub_degree=12, seed=3)
@@ -40,35 +41,35 @@ class TestBlockSizeParity:
 
     @pytest.mark.parametrize("block", [1024, 4096, 1 << 20])
     def test_tube_mesh(self, block, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(block))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
         chunked = tube_mesh(600, **TUBE_PARAMS)
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(1 << 24))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
         one_shot = tube_mesh(600, **TUBE_PARAMS)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [1024, 1 << 20])
     def test_erdos_renyi(self, block, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(block))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
         chunked = erdos_renyi(1500, 6000, seed=5)
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(1 << 24))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
         one_shot = erdos_renyi(1500, 6000, seed=5)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [1024, 1 << 20])
     def test_fem_mesh(self, block, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(block))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
         chunked = fem_mesh(800, elem_size=6, elems_per_vertex=1.5,
                            window=40, hubs=3, hub_degree=20, seed=2)
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(1 << 24))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
         one_shot = fem_mesh(800, elem_size=6, elems_per_vertex=1.5,
                             window=40, hubs=3, hub_degree=20, seed=2)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [2048, 1 << 20])
     def test_rmat(self, block, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(block))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
         chunked = rmat(9, 8, seed=1)
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(1 << 24))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
         one_shot = rmat(9, 8, seed=1)
         assert _hash(chunked) == _hash(one_shot)
 
@@ -101,7 +102,7 @@ class TestPeakMemory:
         """
         n = 40_000
         block = 32_768
-        monkeypatch.setenv("REPRO_GRAPH_BLOCK", str(block))
+        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
         tracemalloc.start()
         try:
             graph = tube_mesh(n, section=200, clique=8,

@@ -48,6 +48,20 @@ def test_env_md_is_in_sync(repo_result):
         "repro.experiments.cli lint --write-env-md ENV.md`")
 
 
+def test_simulation_layers_read_only_watchdog_budgets(repo_result):
+    # The result-store key is the cell plus the code fingerprint.  A
+    # variable that the simulator, machine, runtime or kernels read could
+    # change a cycle count outside that key, so a store would serve the
+    # result of one setting to a run under another.  The two watchdog
+    # budgets only abort a run.
+    layers = tuple(f"src/repro/{pkg}/" for pkg in
+                   ("sim", "machine", "runtime", "kernels"))
+    read_by_layers = {
+        name for name, entry in repo_result.env_registry.items()
+        if any(path.startswith(layers) for path in entry["consumers"])}
+    assert read_by_layers <= {"REPRO_MAX_EVENTS", "REPRO_MAX_SIM_CYCLES"}
+
+
 def test_env_registry_covers_known_surface(repo_result):
     names = set(repo_result.env_registry)
     # Spot-check long-standing variables so the registry cannot silently

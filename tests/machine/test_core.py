@@ -81,7 +81,6 @@ class TestChip:
 
     def test_config_properties(self):
         assert KNF.max_threads == 124
-        assert KNF.aggregate_cache_lines == 31 * KNF.cache_lines_per_core
         assert KNF.barrier_cost(1) == 0.0
         assert KNF.barrier_cost(2) == KNF.barrier_hop_cycles
         assert KNF.barrier_cost(121) == KNF.barrier_hop_cycles * 7

@@ -17,6 +17,11 @@ def run_example(name, timeout=600):
 
 @pytest.mark.parametrize("name,expect", [
     ("quickstart.py", "parallel layered BFS produced the exact same"),
+    ("programming_models.py", "colouring speedups on simulated KNF"),
+    ("bfs_frontier_structures.py",
+     "all five variants produced the exact sequential labelling"),
+    ("mic_scaling_study.py",
+     "SMT roofline model puts issue saturation"),
 ])
 def test_example_runs(name, expect):
     result = run_example(name)

@@ -29,15 +29,9 @@ class TestPublicApi:
 
 
 class TestColoringPipeline:
-    def test_io_reorder_color_verify(self, g, tmp_path):
-        """Write -> read -> shuffle -> parallel colour -> verify."""
-        from repro.graph.io import load_graph, write_matrix_market
-
-        path = tmp_path / "g.mtx"
-        write_matrix_market(g, path)
-        g2 = load_graph(path)
-        assert g.structurally_equal(g2)
-        shuffled = apply_ordering(g2, "random", seed=3)
+    def test_reorder_color_verify(self, g):
+        """Shuffle -> parallel colour -> verify."""
+        shuffled = apply_ordering(g, "random", seed=3)
         spec = RuntimeSpec(ProgrammingModel.TBB,
                            partitioner=Partitioner.SIMPLE, chunk=8)
         run = parallel_coloring(shuffled, 16, spec, KNF, cache_scale=0.05,
