@@ -104,17 +104,23 @@ class Benchmark:
 
 def _forget_memos() -> None:
     """Empty every in-process memo a fig sweep fills, and drop the graph
-    registry's handles, so the next run generates, relabels and prices
-    its graphs again."""
+    registry's handles, so the next run generates, relabels, prices and
+    sequentially colours its graphs again.
+
+    The memos: ``suite_graph``, ``ordered_suite_graph``,
+    ``fig4_bfs._widths``, ``_access_profile_lru`` and the first-fit
+    colourings (``coloring.sequential._FIRST_FIT``)."""
     from repro.experiments.fig4_bfs import _widths
     from repro.experiments.harness import ordered_suite_graph
     from repro.graph.suite import suite_graph
     from repro.graphstore import registry
+    from repro.kernels.coloring.sequential import _FIRST_FIT
     from repro.machine.cache import _access_profile_lru
     suite_graph.cache_clear()
     ordered_suite_graph.cache_clear()
     _widths.cache_clear()
     _access_profile_lru.cache_clear()
+    _FIRST_FIT.clear()
     registry._ACTIVE.clear()
 
 

@@ -92,7 +92,5 @@ def run_fig1(graphs=None, threads=None, jobs=None,
                             thread_counts=combined.thread_counts,
                             baselines=combined.baselines)
         panel.series = {v: combined.series[v] for v in variants}
-        panel.per_graph = {k: s for k, s in combined.per_graph.items()
-                           if k[0] in variants}
         out[title] = panel
     return out

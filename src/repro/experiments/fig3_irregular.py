@@ -72,7 +72,5 @@ def run_fig3(graphs=None, threads=None, jobs=None,
         for it, sweep in sweeps.items():
             label = f"{it} iteration{'s' if it > 1 else ''}"
             panel.series[label] = sweep.series[model]
-            panel.per_graph.update({(label, g): s for (m, g), s
-                                    in sweep.per_graph.items() if m == model})
         out[title] = panel
     return out

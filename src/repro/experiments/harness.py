@@ -170,7 +170,6 @@ class PanelResult:
     title: str
     thread_counts: list[int]
     series: dict = field(default_factory=dict)        # label -> np.ndarray
-    per_graph: dict = field(default_factory=dict)     # (label, graph) -> array
     baselines: dict = field(default_factory=dict)     # graph -> cycles at t=1
     failures: dict = field(default_factory=dict)      # (g, v, t) -> error str
     notes: str = ""
@@ -298,9 +297,8 @@ def run_panel(
         for g in graphs:
             base = cycles[(g, v, baseline_point)] if per_variant_baseline \
                 else result.baselines[g]
-            s = np.asarray([base / cycles[(g, v, t)] for t in threads])
-            result.per_graph[(v, g)] = s
-            per_graph_speedups.append(s)
+            per_graph_speedups.append(
+                np.asarray([base / cycles[(g, v, t)] for t in threads]))
         stacked = np.stack(per_graph_speedups)
         result.series[v] = np.asarray(
             [geomean(stacked[:, i]) for i in range(len(threads))])

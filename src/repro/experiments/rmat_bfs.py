@@ -63,9 +63,8 @@ def run_rmat_bfs(scales=None, threads=None, block: int = 8) -> PanelResult:
         per_graph = []
         for s in scales:
             base = panel.baselines[f"rmat{s}"]
-            arr = np.asarray([base / cycles[(s, label, t)] for t in threads])
-            panel.per_graph[(label, f"rmat{s}")] = arr
-            per_graph.append(arr)
+            per_graph.append(
+                np.asarray([base / cycles[(s, label, t)] for t in threads]))
         stacked = np.stack(per_graph)
         panel.series[label] = np.asarray(
             [geomean(stacked[:, i]) for i in range(len(threads))])

@@ -71,16 +71,16 @@ def bandwidth(graph: CSRGraph) -> int:
 
 def graph_properties(graph: CSRGraph, source: int | None = None) -> GraphProperties:
     """Compute the Table I row for *graph* (sequential greedy colours included)."""
-    from repro.kernels.coloring.sequential import greedy_coloring
+    from repro.kernels.coloring.sequential import first_fit
 
-    n_colors, _ = greedy_coloring(graph)
+    colors = first_fit(graph)
     return GraphProperties(
         name=graph.name,
         n_vertices=graph.n_vertices,
         n_edges=graph.n_edges,
         max_degree=graph.max_degree,
         average_degree=graph.average_degree,
-        n_colors=n_colors,
+        n_colors=int(colors.max()) if len(colors) else 0,
         n_bfs_levels=bfs_levels(graph, source),
         n_components=connected_components(graph),
     )

@@ -14,15 +14,22 @@ Two interchangeable inner loops:
 * a *stamp* path (the textbook ``forbiddenColors`` array stamped with the
   current vertex, exactly Algorithm 1), used for high colour counts and as
   a cross-check in tests.
+
+The natural-order colouring depends on the graph alone, so
+:func:`first_fit` computes it once per graph object in each process and
+every consumer (the 1-thread parallel runs behind the Fig 1/2
+baselines, Table I) reads that copy.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["greedy_coloring", "greedy_coloring_stamp"]
+__all__ = ["first_fit", "greedy_coloring", "greedy_coloring_stamp"]
 
 _BITSET_LIMIT = 63  # colours representable in one uint64 (bit c-1 = colour c)
 
@@ -83,6 +90,25 @@ def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
         if c > maxcolor:
             maxcolor = c
     return maxcolor, colors
+
+
+#: graph -> its read-only natural-order colouring.  Keyed by identity
+#: (``CSRGraph`` compares by identity) and held weakly, so an entry dies
+#: with its graph and never keeps a dropped graph alive.
+_FIRST_FIT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def first_fit(graph: CSRGraph) -> np.ndarray:
+    """``greedy_coloring(graph)[1]``, computed once per graph object.
+
+    The array is shared and read-only; copy it before writing.
+    """
+    colors = _FIRST_FIT.get(graph)
+    if colors is None:
+        colors = greedy_coloring(graph)[1]
+        colors.flags.writeable = False
+        _FIRST_FIT[graph] = colors
+    return colors
 
 
 def _first_fit_stamp(neighbor_colors: np.ndarray) -> int:

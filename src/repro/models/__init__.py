@@ -7,7 +7,7 @@ from repro.models.bfs_model import (
     bfs_model_curve,
     bfs_model_speedup_for_graph,
 )
-from repro.models.smt_model import smt_speedup, smt_speedup_curve, saturation_threads
+from repro.models.smt_model import smt_speedup, saturation_threads
 
 __all__ = [
     "bfs_model_level_cost",
@@ -15,6 +15,5 @@ __all__ = [
     "bfs_model_curve",
     "bfs_model_speedup_for_graph",
     "smt_speedup",
-    "smt_speedup_curve",
     "saturation_threads",
 ]

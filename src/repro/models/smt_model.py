@@ -18,11 +18,9 @@ reports :func:`saturation_threads`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.machine.config import MachineConfig
 
-__all__ = ["smt_speedup", "smt_speedup_curve", "saturation_threads"]
+__all__ = ["smt_speedup", "saturation_threads"]
 
 
 def smt_speedup(compute: float, stall: float, n_threads: int,
@@ -38,13 +36,6 @@ def smt_speedup(compute: float, stall: float, n_threads: int,
     single = compute + stall
     per_chunk = max(k * compute, single)
     return n_threads * single / per_chunk
-
-
-def smt_speedup_curve(compute: float, stall: float, thread_counts,
-                      config: MachineConfig) -> np.ndarray:
-    """Model speedups over a thread sweep."""
-    return np.asarray([smt_speedup(compute, stall, t, config)
-                       for t in thread_counts])
 
 
 def saturation_threads(compute: float, stall: float,

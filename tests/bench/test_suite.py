@@ -121,11 +121,13 @@ class TestRunSuite:
 
     def test_every_repetition_starts_with_empty_memos(self, monkeypatch):
         """Warmup and timed runs of a fig benchmark each start cold: no
-        memoised graph, ordering, profile, BFS widths or registry handle
-        survives from the run before, and no registry is configured."""
+        memoised graph, ordering, profile, BFS widths, first-fit colouring
+        or registry handle survives from the run before, and no registry
+        is configured."""
         from repro.experiments import fig4_bfs, harness
         from repro.graph import suite
         from repro.graphstore import registry
+        from repro.kernels.coloring import sequential
         from repro.machine import cache
         from repro.machine.config import KNF
 
@@ -136,12 +138,14 @@ class TestRunSuite:
 
         def probe():
             seen.append(([m.cache_info().currsize for m in memos],
+                         len(sequential._FIRST_FIT),
                          dict(registry._ACTIVE),
                          os.environ.get("REPRO_GRAPH_DIR")))
             # Fill every memo as a real sweep would.
             harness.ordered_suite_graph("auto", "random")
             fig4_bfs._widths("auto")
             cache._access_profile_lru(tiny, KNF, 1, 4, 1.0)
+            sequential.first_fit(tiny)
             registry._ACTIVE["/tmp/graphs"] = None
 
         monkeypatch.setattr(suite, "tube_mesh", lambda *a, **k: tiny)
@@ -153,8 +157,9 @@ class TestRunSuite:
         finally:
             for memo in memos:
                 memo.cache_clear()
+            sequential._FIRST_FIT.clear()
             registry._ACTIVE.clear()
-        assert seen == [([0, 0, 0, 0], {}, None)] * 4
+        assert seen == [([0, 0, 0, 0], 0, {}, None)] * 4
 
     def test_env_fingerprint_fields(self):
         env = env_fingerprint()

@@ -101,8 +101,9 @@ class TestRunPanel:
     def test_geomean_across_graphs(self, sweep):
         panel = sweep(self.runner, ["fast"],
                           graphs=["g1", "g2"], threads=[1, 10])
-        s1 = panel.per_graph[("fast", "g1")]
-        s2 = panel.per_graph[("fast", "g2")]
+        # A one-graph panel's series is that graph's speedup array.
+        s1, s2 = (sweep(self.runner, ["fast"], graphs=[g],
+                        threads=[1, 10]).series["fast"] for g in ("g1", "g2"))
         expected = np.sqrt(s1 * s2)
         assert np.allclose(panel.series["fast"], expected)
 
@@ -197,9 +198,12 @@ class TestResilience:
         assert list(panel.failures) == [("g2", "A", 10)]
         assert "injected failure" in panel.failures[("g2", "A", 10)]
         assert "failed" in panel.notes
-        assert math.isnan(panel.per_graph[("A", "g2")][1])
         # every other cell intact — g1 series and variant B untouched
-        assert np.allclose(panel.per_graph[("A", "g1")], [1.0, 10.0])
+        # (a one-graph panel's series is that graph's speedup array)
+        g1, g2 = (sweep(runner, ["A", "B"], graphs=[g], threads=[1, 10],
+                        retries=0) for g in ("g1", "g2"))
+        assert math.isnan(g2.series["A"][1])
+        assert np.allclose(g1.series["A"], [1.0, 10.0])
         assert np.allclose(panel.series["B"], [1.0, 10.0])
         # the geomean skips the NaN graph instead of poisoning the series
         assert np.allclose(panel.series["A"], [1.0, 10.0])
@@ -271,8 +275,10 @@ class TestParallelPanel:
             assert np.array_equal(serial.series[label],
                                   parallel.series[label])
         assert serial.baselines == parallel.baselines
-        assert np.array_equal(serial.per_graph[("fast", "g2")],
-                              parallel.per_graph[("fast", "g2")])
+        kw["graphs"] = ["g2"]
+        assert np.array_equal(sweep(TestRunPanel.runner, **kw).series["fast"],
+                              sweep(TestRunPanel.runner, jobs=2,
+                                    **kw).series["fast"])
 
     def test_jobs_failures_keep_nan_semantics(self, sweep):
         import math
@@ -285,8 +291,10 @@ class TestParallelPanel:
         panel = sweep(runner, ["A"], graphs=["g1", "g2"],
                           threads=[1, 10], retries=0, jobs=2)
         assert list(panel.failures) == [("g2", "A", 10)]
-        assert math.isnan(panel.per_graph[("A", "g2")][1])
-        assert np.allclose(panel.per_graph[("A", "g1")], [1.0, 10.0])
+        g1, g2 = (sweep(runner, ["A"], graphs=[g], threads=[1, 10],
+                        retries=0, jobs=2) for g in ("g1", "g2"))
+        assert math.isnan(g2.series["A"][1])
+        assert np.allclose(g1.series["A"], [1.0, 10.0])
 
 
 class TestStoreBackedPanel:
@@ -368,7 +376,7 @@ class TestStoreBackedPanel:
         kw = dict(variants=["A"], graphs=["g1"], threads=[1, 10],
                   retries=0, store=store)
         p1 = sweep(runner, **kw)
-        assert math.isnan(p1.per_graph[("A", "g1")][1])
+        assert math.isnan(p1.series["A"][1])
         nan_cell = CellSpec("fake", "g1", "A", 10)
         assert store.get(nan_cell.to_dict()) is None  # NaN is never stored
 
@@ -403,7 +411,7 @@ class TestStoreBackedPanel:
         assert state["calls"][first_pass:] == \
             [c for c in every if c not in finished]
         assert not panel.failures
-        assert np.allclose(panel.per_graph[("B", "g1")], [1.0, 10.0])
+        assert np.allclose(panel.series["B"], [1.0, 10.0])
 
 
 class TestBaselinePoint:

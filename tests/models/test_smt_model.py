@@ -3,8 +3,7 @@
 import pytest
 
 from repro.machine.config import KNF
-from repro.models.smt_model import (saturation_threads, smt_speedup,
-                                    smt_speedup_curve)
+from repro.models.smt_model import saturation_threads, smt_speedup
 
 
 class TestSmtSpeedup:
@@ -26,7 +25,7 @@ class TestSmtSpeedup:
         assert s == pytest.approx(2 * KNF.n_cores * 124 / 124, rel=0.05)
 
     def test_monotone_until_saturation(self):
-        curve = smt_speedup_curve(100, 300, range(1, 32), KNF)
+        curve = [smt_speedup(100, 300, t, KNF) for t in range(1, 32)]
         assert all(b >= a - 1e-9 for a, b in zip(curve, curve[1:]))
 
     def test_saturation_point(self):
