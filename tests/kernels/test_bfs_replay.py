@@ -3,9 +3,9 @@
 ``_replay_level`` replays a whole level in one vectorised pass.  The
 oracle below is the straightforward form it replaced: one round of numpy
 calls per concurrency wave and lockstep position.  Both must agree on
-every per-thread queue segment, the duplicate count, the ``dist``
-labelling and the RNG state afterwards (the relaxed-queue race draws are
-part of the simulated outcome).  ``bfs_golden.json`` pins whole
+every per-thread queue segment, the duplicate count and the ``dist``
+labelling, given race draws from the same seed (the relaxed-queue race
+draws are part of the simulated outcome).  ``bfs_golden.json`` pins whole
 ``simulate_bfs`` runs; regenerate it with
 ``PYTHONPATH=src python tests/kernels/test_bfs_replay.py --regenerate``.
 """
@@ -89,14 +89,14 @@ def _oracle_replay(indptr, indices, queue, dist, chunks, n_threads, level,
 
 
 def _vectorised(graph, queue, dist, chunks, n_threads, level, relaxed,
-                p_race, rng):
+                p_race, seed):
     """Call the replay the way ``simulate_bfs`` does: claims come from
     one level-start gather over the queue's real entries."""
     slots = np.flatnonzero(queue >= 0)
     nbrs, seg = gather_neighbors(graph.indptr, graph.indices, queue[slots])
     fresh = dist[nbrs] == -1
     return _replay_level(slots[seg[fresh]], nbrs[fresh], len(queue), dist,
-                         chunks, n_threads, level, relaxed, p_race, rng)
+                         chunks, n_threads, level, relaxed, p_race, seed)
 
 
 def assert_replays_agree(graph, queue, dist, chunks, n_threads, relaxed,
@@ -104,18 +104,16 @@ def assert_replays_agree(graph, queue, dist, chunks, n_threads, relaxed,
     queue = np.asarray(queue, dtype=np.int64)
     old_dist, new_dist = dist.copy(), dist.copy()
     old_rng = np.random.default_rng(seed)
-    new_rng = np.random.default_rng(seed)
     old, old_dups = _oracle_replay(graph.indptr, graph.indices, queue,
                                    old_dist, chunks, n_threads, level,
                                    relaxed, p_race, old_rng)
     new, new_dups = _vectorised(graph, queue, new_dist, chunks, n_threads,
-                                level, relaxed, p_race, new_rng)
+                                level, relaxed, p_race, seed)
     assert sorted(new) == sorted(old)
     for tid, parts in old.items():
         assert np.array_equal(new[tid], np.concatenate(parts)), tid
     assert new_dups == old_dups
     assert np.array_equal(new_dist, old_dist)
-    assert new_rng.bit_generator.state == old_rng.bit_generator.state
     return new, new_dups
 
 
