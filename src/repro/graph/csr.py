@@ -10,8 +10,17 @@ one int64 key ``row * n + col`` (exact, since ``n < 2**31``), the keys are
 sorted in place and deduplicated, and rows and columns are decoded with
 ``// n`` and ``% n``.  One single-key sort is several times faster than a
 two-key lexicographic sort and needs no index array; :func:`_sort_entries`
-is shared by :meth:`CSRGraph.from_edges`, :meth:`CSRGraph.permute` and the
-streaming builder in :mod:`repro.graphstore.builder`.
+is shared by :meth:`CSRGraph.from_edges` and the streaming builder in
+:mod:`repro.graphstore.builder`.
+
+Passes over an existing graph walk its CSR in row-aligned blocks of at
+most :data:`BLOCK_ENTRIES` entries (:func:`_row_blocks`), so their
+scratch does not grow with the edge count.  :meth:`CSRGraph.permute`
+writes the relabelled keys block by block into one int64 array, sorts it
+once and decodes it block by block into the int32 ``indices``;
+:meth:`CSRGraph.validate` holds one int64 array, the reversed keys.  The
+access profile (:mod:`repro.machine.cache`) and the colouring kernel
+walk their CSR entries with the same helper and budget.
 """
 
 from __future__ import annotations
@@ -23,6 +32,25 @@ import numpy as np
 from repro._util import as_int_array
 
 __all__ = ["CSRGraph"]
+
+#: CSR entries per row-aligned block of a pass over every entry.  A
+#: block's int64 temporaries take 0.5 MiB each, so such a pass's scratch
+#: does not grow with the edge count.
+BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(indptr: np.ndarray):
+    """Row ranges ``(r0, r1)`` of the non-decreasing offsets *indptr*
+    holding at most :data:`BLOCK_ENTRIES` entries each; a row longer than
+    that is a block of its own."""
+    n = len(indptr) - 1
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + BLOCK_ENTRIES,
+                                 side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
 
 
 def _sort_entries(rows: np.ndarray, cols: np.ndarray, n: int,
@@ -199,11 +227,18 @@ class CSRGraph:
 
         ``perm`` must be a permutation of ``0..n-1``. Adjacency structure is
         preserved; only IDs (hence memory-locality behaviour) change.
+
+        Entry ``(v, w)`` becomes the key ``perm[v] * n + perm[w]``, as
+        :func:`_sort_entries` encodes it; the keys are written and decoded
+        one row block at a time, so the int64 keys and the int32 result
+        are the only arrays of entry length.
         """
         perm = as_int_array(perm, "perm")
         n = self.n_vertices
         if len(perm) != n:
             raise ValueError(f"perm has length {len(perm)}, expected {n}")
+        if n and (perm.min() < 0 or perm.max() >= n):
+            raise ValueError("perm is not a permutation")
         check = np.zeros(n, dtype=bool)
         check[perm] = True
         if not check.all():
@@ -212,10 +247,20 @@ class CSRGraph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         indptr[perm + 1] = self._degrees
         np.cumsum(indptr, out=indptr)
-        key = _sort_entries(np.repeat(perm, self._degrees),
-                            perm[self.indices], n, dedupe=False)
-        key %= n
-        return CSRGraph(indptr=indptr, indices=key.astype(np.int32),
+        old_indptr, old_indices = self.indptr, self.indices
+        key = np.empty(len(old_indices), dtype=np.int64)
+        for r0, r1 in _row_blocks(old_indptr):
+            e0, e1 = old_indptr[r0], old_indptr[r1]
+            np.multiply(np.repeat(perm[r0:r1], self._degrees[r0:r1]), n,
+                        out=key[e0:e1])
+            key[e0:e1] += perm.take(old_indices[e0:e1])
+        key.sort()
+        indices = np.empty(len(key), dtype=np.int32)
+        for r0, r1 in _row_blocks(indptr):
+            e0, e1 = indptr[r0], indptr[r1]
+            np.remainder(key[e0:e1], n, out=indices[e0:e1])
+        del key
+        return CSRGraph(indptr=indptr, indices=indices,
                         name=name or f"{self.name}-permuted")
 
     def structurally_equal(self, other: "CSRGraph") -> bool:
@@ -250,21 +295,41 @@ class CSRGraph:
         n = self.n_vertices
         if len(indices) and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("neighbour ID out of range")
-        src = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
-        if np.any(src == indices):
-            raise ValueError("self-loop present")
-        # Sorted adjacency per vertex: within a row, indices strictly increase.
-        same_row = src[1:] == src[:-1] if len(src) else np.empty(0, dtype=bool)
-        if np.any(same_row & (indices[1:] <= indices[:-1])):
+        # One pass over row blocks checks self-loops and row order (a row
+        # never spans two blocks) and writes the reversed keys
+        # ``w * n + v``.  An unsorted row is reported after the pass, so a
+        # self-loop in any block is reported first, as symmetry is last.
+        unsorted = False
+        rev = np.empty(len(indices), dtype=np.int64)
+        for r0, r1, src, dst in self._row_block_entries():
+            if np.any(src == dst):
+                raise ValueError("self-loop present")
+            unsorted = unsorted or bool(np.any(
+                (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])))
+            block = rev[indptr[r0]:indptr[r1]]
+            np.multiply(dst, n, out=block, dtype=np.int64)
+            block += src
+        if unsorted:
             raise ValueError("adjacency lists must be strictly increasing")
         # Symmetry: the reversed edge set must equal the forward edge set.
         # Rows are strictly increasing (checked above), so the forward keys
-        # are already sorted; only the reversed ones need a sort.
-        fwd = src * np.int64(n) + indices
-        rev = indices * np.int64(n) + src
+        # ``v * n + w`` are already sorted and are built block by block;
+        # only the reversed ones need a sort.
         rev.sort()
-        if not np.array_equal(fwd, rev):
-            raise ValueError("adjacency is not symmetric")
+        for r0, r1, src, dst in self._row_block_entries():
+            fwd = np.multiply(src, n)
+            fwd += dst
+            if not np.array_equal(fwd, rev[indptr[r0]:indptr[r1]]):
+                raise ValueError("adjacency is not symmetric")
+
+    def _row_block_entries(self):
+        """Per row block ``(r0, r1, src, dst)``: the block's CSR entries
+        as int64 owning rows and their int32 neighbour IDs."""
+        indptr = self.indptr
+        for r0, r1 in _row_blocks(indptr):
+            src = np.repeat(np.arange(r0, r1, dtype=np.int64),
+                            self._degrees[r0:r1])
+            yield r0, r1, src, self.indices[indptr[r0]:indptr[r1]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CSRGraph(name={self.name!r}, n_vertices={self.n_vertices}, "

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _row_blocks
 from repro.kernels.base import (AccessSet, KernelRun, gather_neighbors,
                                 wave_partition)
 from repro.kernels.coloring.sequential import (_first_fit_stamp,
@@ -141,9 +141,13 @@ def parallel_coloring(
                                 seed=seed + 17 * run.rounds + 1, faults=faults,
                                 access=_conflict_access(graph, visit))
         run.add_loop(st2)
-        rng = np.random.default_rng((seed + 3) * 99_991 + run.rounds)
-        conflicts = _detect_conflicts(graph, visit, run.colors, write_time,
-                                      rng, race_fraction)
+        if n_threads == 1:
+            # First Fit with full visibility leaves no same-colour edge.
+            conflicts = visit[:0]
+        else:
+            rng = np.random.default_rng((seed + 3) * 99_991 + run.rounds)
+            conflicts = _detect_conflicts(graph, visit, run.colors,
+                                          write_time, rng, race_fraction)
         run.conflicts_per_round.append(len(conflicts))
         visit = conflicts
         run.rounds += 1
@@ -212,10 +216,12 @@ def _replay_tentative(graph, visit, colors, chunks, n_threads,
     paper's speculative algorithm tolerates and repairs.
 
     The instants are laid out once per pass and every neighbour list is
-    gathered once; each instant then costs one gather of colour bits and
-    one segmented OR.  ``write_time`` records each vertex's instant for
-    the conflict pass and is never read here: within a pass every earlier
-    write is visible and no same-instant write is.
+    gathered once, into one int32 array, a row block of the gathered
+    lists at a time (:func:`~repro.graph.csr._row_blocks`); each instant
+    then costs one gather of colour bits and one segmented OR.
+    ``write_time`` records each vertex's instant for the conflict pass
+    and is never read here: within a pass every earlier write is visible
+    and no same-instant write is.
     Degree-0 vertices read nothing, so they take colour 1 outside the
     instant loop.  Returns the last instant of the pass.
     """
@@ -255,10 +261,16 @@ def _replay_tentative(graph, visit, colors, chunks, n_threads,
         verts, inst, deg = verts[keep], inst[keep], deg[keep]
     if not len(verts):
         return last
-    # One lean gather of every neighbour list, in instant order.
-    off = np.cumsum(deg) - deg
-    nbrs = indices[np.repeat(indptr[verts] - off, deg)
-                   + np.arange(int(deg.sum()), dtype=np.int64)]
+    # One lean gather of every neighbour list, in instant order: the
+    # lists of verts form a CSR with offsets ``bounds``.
+    bounds = np.zeros(len(verts) + 1, dtype=np.int64)
+    np.cumsum(deg, out=bounds[1:])
+    off = bounds[:-1]
+    nbrs = np.empty(int(bounds[-1]), dtype=indices.dtype)
+    for a, b in _row_blocks(bounds):
+        nbrs[off[a]:bounds[b]] = indices[
+            np.repeat(indptr[verts[a:b]] - off[a:b], deg[a:b])
+            + np.arange(off[a], bounds[b])]
     cuts = np.flatnonzero(np.diff(inst)) + 1
     v_lo = np.concatenate(([0], cuts))
     v_hi = np.append(cuts, len(verts))
@@ -302,13 +314,18 @@ def _detect_conflicts(graph, visit, colors, write_time=None, rng=None,
     """
     n = graph.n_vertices
     if len(visit) == n and np.array_equal(visit, np.arange(n)):
-        # Every vertex (round 0): the CSR arrays are the gather, and only
-        # the few same-colour entries need their owning vertex.  Colours
-        # are at most n, so they compare exactly as int32.
+        # Every vertex (round 0): the CSR arrays are the gather, compared
+        # one row block at a time, and only the few same-colour entries
+        # need their owning vertex.  Colours are at most n, so they
+        # compare exactly as int32.
         c32 = colors.astype(np.int32)
-        same = np.flatnonzero(np.repeat(c32, graph.degrees)
-                              == c32.take(graph.indices))
-        v = np.searchsorted(graph.indptr, same, side="right") - 1
+        indptr, deg = graph.indptr, graph.degrees
+        same = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            indptr[r0] + np.flatnonzero(
+                np.repeat(c32[r0:r1], deg[r0:r1])
+                == c32.take(graph.indices[indptr[r0]:indptr[r1]]))
+            for r0, r1 in _row_blocks(indptr)])
+        v = np.searchsorted(indptr, same, side="right") - 1
         nbrs = graph.indices[same].astype(np.int64)
     else:
         nbrs, seg = gather_neighbors(graph.indptr, graph.indices, visit)

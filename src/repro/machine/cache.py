@@ -31,9 +31,10 @@ working-set/cache ratio of the real machine).
 
 Evaluation.  Every per-entry quantity depends on an entry only through
 ``d``, so it is tabulated once per distance.  The sweep then walks the
-CSR in row-aligned blocks of at most :data:`BLOCK_ENTRIES` entries,
-gathers the tables by each block's distances and sums them per vertex
-with a cumulative sum that starts from the previous blocks' total: the
+CSR in row-aligned blocks (:func:`repro.graph.csr._row_blocks`, the one
+helper and block budget of every pass over a graph's entries), gathers
+the tables by each block's distances and sums them per vertex with a
+cumulative sum that starts from the previous blocks' total: the
 same floats as one cumulative sum over every entry, in O(vertices +
 block) memory.  The entry-weighted hit fractions are sums over every
 entry; they are computed on first read (telemetry, reports, tests), so
@@ -48,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _row_blocks
 from repro.machine.config import MachineConfig
 from repro.obs import metrics as _obs_metrics
 
@@ -56,11 +57,6 @@ __all__ = ["AccessProfile", "access_profile", "access_profile_cached"]
 
 #: Bytes per CSR index entry (int32 adjacency, as in the paper's C codes).
 INDEX_BYTES = 4
-
-#: CSR entries priced per block of the sweep.  A block's distances,
-#: gathered values and prefix sums take about 1.3 MiB, so the sweep's
-#: working memory does not grow with the edge count.
-BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,19 +109,6 @@ def _entry_distances(graph: CSRGraph, r0: int, r1: int) -> np.ndarray:
     return np.abs(dist, out=dist)
 
 
-def _row_blocks(indptr: np.ndarray):
-    """Row ranges ``(r0, r1)`` holding at most :data:`BLOCK_ENTRIES`
-    entries each; a row longer than that is a block of its own."""
-    n = len(indptr) - 1
-    r0 = 0
-    while r0 < n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + BLOCK_ENTRIES,
-                                 side="right")) - 1
-        r1 = max(r1, r0 + 1)
-        yield r0, r1
-        r0 = r1
-
-
 def _hit_fractions(graph: CSRGraph, p_local: np.ndarray,
                    p_remote: np.ndarray,
                    p_dram: np.ndarray) -> tuple[float, float, float]:
@@ -161,10 +144,10 @@ def access_profile(
     integer ID distance, so each is evaluated once per distance and
     gathered by distance: the same floats as evaluating it per entry.
     The gather and the per-vertex sums run over row-aligned blocks of
-    at most :data:`BLOCK_ENTRIES` entries, each block's cumulative sum
-    starting from the running total of the blocks before it, so every
-    prefix — and every ``stall[v]``/``volume[v]`` — is the float a
-    cumulative sum over all entries at once gives.
+    at most :data:`repro.graph.csr.BLOCK_ENTRIES` entries, each block's
+    cumulative sum starting from the running total of the blocks before
+    it, so every prefix — and every ``stall[v]``/``volume[v]`` — is the
+    float a cumulative sum over all entries at once gives.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")

@@ -1,11 +1,16 @@
 """Unit and property tests for the CSR graph substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import csr
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import tube_mesh
+from repro.graph.reorder import apply_ordering
 
 
 def edges_strategy(max_n=30, max_m=120):
@@ -108,6 +113,68 @@ class TestValidation:
                      indices=np.array([1, 2, 0], dtype=np.int32))
 
 
+def _cycle_arrays(n=12):
+    """CSR arrays of the cycle 0-1-...-(n-1)-0: two entries per row."""
+    g = CSRGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    return g.indptr.copy(), g.indices.copy()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+class TestValidateInBlocks:
+    """Each defect sits where a row block starts: row ``r`` opens the
+    second block of the cycle's rows."""
+
+    @pytest.fixture
+    def cycle(self, monkeypatch, block):
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
+        indptr, indices = _cycle_arrays()
+        r = list(csr._row_blocks(indptr))[1][0]
+        assert r >= 1
+        return indptr, indices, r
+
+    def test_valid_cycle_accepted(self, cycle):
+        indptr, indices, _ = cycle
+        CSRGraph(indptr=indptr, indices=indices)
+
+    def test_rejects_asymmetric_across_boundary(self, cycle):
+        # Row r - 1 closes the first block.  Pointing its entry r at r + 1
+        # leaves the reverse entry r -> r - 1, which opens the second
+        # block, without a partner; every row stays sorted.
+        indptr, indices, r = cycle
+        row = indices[indptr[r - 1]:indptr[r]]
+        row[row == r] = r + 1
+        assert np.all(np.diff(row) > 0)
+        with pytest.raises(ValueError, match="not symmetric"):
+            CSRGraph(indptr=indptr, indices=indices)
+
+    def test_rejects_self_loop_opening_a_block(self, cycle):
+        indptr, indices, r = cycle
+        indices[indptr[r]] = r
+        with pytest.raises(ValueError, match="self-loop"):
+            CSRGraph(indptr=indptr, indices=indices)
+
+    def test_rejects_unsorted_row_opening_a_block(self, cycle):
+        indptr, indices, r = cycle
+        row = indices[indptr[r]:indptr[r + 1]]
+        row[:] = row[::-1].copy()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CSRGraph(indptr=indptr, indices=indices)
+
+    def test_self_loop_reported_before_an_earlier_unsorted_row(self, cycle):
+        indptr, indices, r = cycle
+        row = indices[:indptr[1]]
+        row[:] = row[::-1].copy()
+        indices[indptr[r]] = r
+        with pytest.raises(ValueError, match="self-loop"):
+            CSRGraph(indptr=indptr, indices=indices)
+
+    def test_rejects_indptr_decreasing_at_a_block_start(self, cycle):
+        indptr, indices, r = cycle
+        indptr[r] = indptr[r + 1] + 1
+        with pytest.raises(ValueError, match="non-decreasing"):
+            CSRGraph(indptr=indptr, indices=indices)
+
+
 class TestAccessors:
     def test_neighbors_sorted(self, random_graph):
         for v in range(0, random_graph.n_vertices, 17):
@@ -180,6 +247,28 @@ class TestPermute:
         with pytest.raises(ValueError, match="permutation"):
             path10.permute(np.zeros(10, dtype=np.int64))
 
+    @pytest.mark.parametrize("perm", [[0, 1, 2, -1], [0, 1, 3, -2],
+                                      [0, 1, 2, 4]])
+    def test_permute_rejects_label_out_of_range(self, perm):
+        g = CSRGraph.from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="perm is not a permutation"):
+            g.permute(perm)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_permute_in_small_blocks_matches_rebuild(self, monkeypatch,
+                                                     block):
+        """Rows that span several budgets, empty rows and blocks ending
+        mid-graph relabel as building from relabelled edges does."""
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(block)
+        mesh = tube_mesh(300, 30, 6, hubs=2, hub_degree=12, seed=3)
+        cases = [mesh] + [CSRGraph.from_edges(n, rng.integers(0, n, (m, 2)))
+                          for n, m in ((1, 0), (7, 0), (40, 25), (60, 400))]
+        for g in cases:
+            perm = rng.permutation(g.n_vertices)
+            expected = CSRGraph.from_edges(g.n_vertices, perm[g.edge_array()])
+            assert g.permute(perm).structurally_equal(expected)
+
     def test_permute_rejects_wrong_length(self, path10):
         with pytest.raises(ValueError, match="length"):
             path10.permute(np.arange(5))
@@ -215,3 +304,42 @@ class TestProperties:
         g2 = g.permute(perm)
         assert np.array_equal(np.sort(g.degrees), np.sort(g2.degrees))
         g2.validate()
+
+
+class TestPeakMemory:
+    """Relabelling and validation walk the CSR in row blocks, so each
+    holds one int64 array of entry length.  A whole-array pass needs
+    about 38 bytes per entry to relabel and 26 to validate.  The block
+    budget is shrunk so that block scratch is negligible against the
+    bounds."""
+
+    @pytest.fixture
+    def graph(self, monkeypatch):
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 4096)
+        graph = tube_mesh(12_000, section=114, clique=35,
+                          cliques_per_vertex=1.0, coupling=9, hubs=4,
+                          hub_degree=70, seed=3)
+        assert graph.n_directed_entries > 500_000
+        return graph
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_random_relabel_below_16_bytes_per_entry(self, graph):
+        # The int64 keys plus the relabelled int32 indices: 12 bytes.
+        shuffled, peak = self.traced_peak(
+            lambda: apply_ordering(graph, "random", seed=0))
+        assert shuffled.n_directed_entries == graph.n_directed_entries
+        assert peak < 16 * graph.n_directed_entries
+
+    def test_validate_below_12_bytes_per_entry(self, graph):
+        # The reversed int64 keys: 8 bytes.
+        _, peak = self.traced_peak(graph.validate)
+        assert peak < 12 * graph.n_directed_entries

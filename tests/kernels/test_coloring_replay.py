@@ -19,6 +19,7 @@ colours and has isolated vertices.  Regenerate it with
 import hashlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.fig1_coloring import COLORING_VARIANTS
+from repro.graph import csr
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete, tube_mesh
 from repro.graph.reorder import apply_ordering
@@ -155,6 +157,16 @@ def test_replay_matches_oracle(case):
     assert_replays_agree(*case)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+@given(case=replay_cases())
+@settings(max_examples=60, deadline=None)
+def test_replay_in_small_blocks_matches_oracle(block, case):
+    """The neighbour lists are gathered a few entries at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csr, "BLOCK_ENTRIES", block)
+        assert_replays_agree(*case)
+
+
 class TestHandBuiltSchedules:
     def test_same_instant_neighbours_miss_each_other(self):
         path = CSRGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -203,9 +215,7 @@ def _gather_conflicts(graph, visit, colors, write_time, rng, race_fraction):
     return np.unique(cv)
 
 
-@given(replay_cases())
-@settings(max_examples=100, deadline=None)
-def test_round0_conflicts_match_general_gather(case):
+def assert_round0_conflicts_agree(case):
     """Detecting over every vertex reads the CSR arrays directly; it must
     find the pairs, draw the RNG and re-fit exactly as a gather does."""
     g, _, colors, _, _, write_time, _ = case
@@ -219,6 +229,53 @@ def test_round0_conflicts_match_general_gather(case):
     assert fast.tobytes() == slow.tobytes()
     assert fast_c.tobytes() == slow_c.tobytes()
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@given(replay_cases())
+@settings(max_examples=100, deadline=None)
+def test_round0_conflicts_match_general_gather(case):
+    assert_round0_conflicts_agree(case)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@given(case=replay_cases())
+@settings(max_examples=40, deadline=None)
+def test_round0_conflicts_in_small_blocks_match_general_gather(block, case):
+    """The CSR entries are compared a few at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csr, "BLOCK_ENTRIES", block)
+        assert_round0_conflicts_agree(case)
+
+
+@pytest.mark.parametrize("n_threads", [31, 121])
+def test_round0_replay_and_conflicts_below_8_bytes_per_entry(monkeypatch,
+                                                             n_threads):
+    """One cell's round 0 holds one array of entry length, the int32
+    neighbour lists of the replay; an int64 gather index alone would
+    take 16 bytes per entry.  The block budget is shrunk so that block
+    scratch is negligible against the bound."""
+    monkeypatch.setattr(csr, "BLOCK_ENTRIES", 4096)
+    g = tube_mesh(12_000, section=114, clique=35, cliques_per_vertex=1.0,
+                  coupling=9, hubs=4, hub_degree=70, seed=3)
+    g = apply_ordering(g, "random", seed=0)
+    n = g.n_vertices
+    assert g.n_directed_entries > 500_000
+    visit = np.arange(n, dtype=np.int64)
+    colors = np.zeros(n, dtype=np.int64)
+    write_time = np.full(n, -1, dtype=np.int64)
+    size = -(-n // (4 * n_threads))
+    chunks = [chunk(lo, min(n, lo + size), i % n_threads, i // n_threads)
+              for i, lo in enumerate(range(0, n, size))]
+    tracemalloc.start()
+    try:
+        _replay_tentative(g, visit, colors, chunks, n_threads, write_time, 0)
+        _detect_conflicts(g, visit, colors, write_time,
+                          np.random.default_rng(0), 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert colors.min() >= 1
+    assert peak < 8 * g.n_directed_entries
 
 
 # --- the sequential first fit ------------------------------------------------

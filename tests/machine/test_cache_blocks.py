@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.graph import csr
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import tube_mesh
 from repro.graph.reorder import apply_ordering
@@ -37,7 +38,7 @@ GRAPHS = {
 @pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_small_blocks_match_oracle(monkeypatch, name, block):
-    monkeypatch.setattr(cache, "BLOCK_ENTRIES", block)
+    monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
     for config, n_threads in ((KNF, 1), (KNF, 121), (HOST_XEON, 8)):
         assert_profile_is_oracle(GRAPHS[name], config, n_threads, 4, 0.05)
 
@@ -45,18 +46,18 @@ def test_small_blocks_match_oracle(monkeypatch, name, block):
 @given(profile_cases())
 @settings(max_examples=60, deadline=None)
 def test_random_graphs_match_oracle_at_block_seven(case):
-    real = cache.BLOCK_ENTRIES
-    cache.BLOCK_ENTRIES = 7
+    real = csr.BLOCK_ENTRIES
+    csr.BLOCK_ENTRIES = 7
     try:
         assert_profile_is_oracle(*case)
     finally:
-        cache.BLOCK_ENTRIES = real
+        csr.BLOCK_ENTRIES = real
 
 
 def test_row_blocks_are_row_aligned(monkeypatch):
-    monkeypatch.setattr(cache, "BLOCK_ENTRIES", 3)
+    monkeypatch.setattr(csr, "BLOCK_ENTRIES", 3)
     g = GRAPHS["star-with-gaps"]
-    blocks = list(cache._row_blocks(g.indptr))
+    blocks = list(csr._row_blocks(g.indptr))
     assert blocks[0] == (0, 1)  # the 8-entry row is a block of its own
     assert [r0 for r0, _ in blocks[1:]] == [r1 for _, r1 in blocks[:-1]]
     assert blocks[-1][1] == g.n_vertices
