@@ -23,7 +23,7 @@ def flat_gather(indices: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     offsets = np.repeat(np.cumsum(lens) - lens, lens)
     flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lens)
     seg = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    return indices[flat].astype(np.int64), seg
+    return indices[flat].astype(np.int64, copy=False), seg
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray):

@@ -298,6 +298,11 @@ def _replay_level(entry, vert, n_entries, dist, chunks, n_threads, level,
     claimants to draw for.
     The locked variants admit one winner per vertex.
 
+    Each claim is keyed by ``(instant, chunk)`` as one int64, and each
+    vertex's winning key is taken with ``np.minimum.at`` into *dist*
+    itself, so only the rivals (for the draws) and the kept claims (for
+    the per-thread streams) are sorted.
+
     Returns ``(per_thread, duplicates)`` where ``per_thread[tid]`` is the
     vertex array thread *tid* appended to its queue, ordered by
     ``(wave, position, chunk, vertex)``.
@@ -330,34 +335,41 @@ def _replay_level(entry, vert, n_entries, dist, chunks, n_threads, level,
     if not len(v):
         return {}, 0
 
-    # Per vertex, claims in (instant, chunk) order: keep those at its first
-    # instant, once per chunk (a sequential chunk claims a vertex once).
-    order = np.lexsort((c, t, v))
-    c, v, t = c[order], v[order], t[order]
-    head = np.ones(len(v), dtype=bool)
-    head[1:] = v[1:] != v[:-1]
-    repeat = np.zeros(len(v), dtype=bool)
-    repeat[1:] = ~head[1:] & (t[1:] == t[:-1]) & (c[1:] == c[:-1])
-    live = (t == t[head][np.cumsum(head) - 1]) & ~repeat
-    c, v, t, head = c[live], v[live], t[live], head[live]
-
-    keep = head
+    # One int64 key per claim, ordered like (instant, chunk).  Every
+    # claimed vertex is -1 in dist at level start, so keys shifted below
+    # -1 leave each vertex's first claim in dist itself.
+    n_chunks = len(ordered)
+    key = t * n_chunks + c
+    shift = int(key.max()) + 2
+    np.minimum.at(dist, v, key - shift)
+    first = dist[v] + shift
+    dist[v] = level
+    # The winner's claims: one per entry of its chunk that reaches v (a
+    # sequential chunk claims v once; repeats are dropped below).  Other
+    # chunks at the winner's instant are its rivals; a lockstep chunk has
+    # one entry per instant, and CSR rows hold no repeated neighbour, so
+    # each rival claims v once.
+    win = key == first
+    kept = np.flatnonzero(win)
+    duplicates = 0
     if relaxed:
-        # An extra claimant duplicates only if its check-then-write
-        # window overlapped the winner's.
-        extra = np.flatnonzero(~head)
-        if len(extra):
-            extra = extra[np.argsort(t[extra], kind="stable")]
-            keep = head.copy()
-            keep[extra] = (np.random.default_rng(seed).random(len(extra))
-                           < p_race)
-    claimed = v[head]
-    dist[claimed] = level
-    duplicates = int(keep.sum()) - len(claimed)
+        # A rival duplicates v only if its check-then-write window
+        # overlapped the winner's.
+        rivals = np.flatnonzero(~win & (t == first // n_chunks))
+        if len(rivals):
+            rivals = rivals[np.lexsort((c[rivals], v[rivals], t[rivals]))]
+            rivals = rivals[np.random.default_rng(seed).random(len(rivals))
+                            < p_race]
+            duplicates = len(rivals)
+            kept = np.concatenate([kept, rivals])
 
-    c, v, t = c[keep], v[keep], t[keep]
-    order = np.lexsort((v, c, t, tids[c]))
-    owner, v = tids[c][order], v[order]
+    owner = tids[c[kept]]
+    key, v = key[kept], v[kept]
+    order = np.lexsort((v, key, owner))
+    owner, key, v = owner[order], key[order], v[order]
+    once = np.ones(len(v), dtype=bool)
+    once[1:] = (key[1:] != key[:-1]) | (v[1:] != v[:-1])
+    owner, v = owner[once], v[once]
     cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(v)]
     per_thread = {int(owner[a]): v[a:b] for a, b in zip(cuts[:-1], cuts[1:])}
     return per_thread, duplicates

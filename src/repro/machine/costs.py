@@ -84,11 +84,14 @@ class WorkCosts:
         return len(self.compute)
 
     def range_cost(self, lo: int, hi: int) -> tuple[float, float, float]:
-        """(compute, stall, volume) summed over items ``[lo, hi)``."""
+        """(compute, stall, volume) summed over items ``[lo, hi)``, as
+        Python floats (the same doubles as a float64 difference, without
+        numpy scalar arithmetic on the per-chunk path)."""
         pc, ps, pv = self._pc, self._ps, self._pv
         if not 0 <= lo <= hi < len(pc):
             raise IndexError(f"range [{lo}, {hi}) out of bounds for {len(self)}")
-        return pc[hi] - pc[lo], ps[hi] - ps[lo], pv[hi] - pv[lo]
+        return (pc.item(hi) - pc.item(lo), ps.item(hi) - ps.item(lo),
+                pv.item(hi) - pv.item(lo))
 
     @property
     def total(self) -> tuple[float, float, float]:

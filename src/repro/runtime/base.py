@@ -25,7 +25,7 @@ from repro.machine.costs import WorkCosts
 from repro.obs import metrics as _obs_metrics
 from repro.obs.metrics import MetricsFrame
 from repro.obs.tracer import PID_ENGINE, PID_THREADS
-from repro.sim.engine import Barrier, Engine
+from repro.sim.engine import Barrier, Engine, Process
 from repro.sim.stats import ChunkExec, LoopStats
 
 #: Watchdog default: engine events per parallel region.  Far above any
@@ -236,8 +236,9 @@ class LoopContext:
         """Spawn ``body(tid)`` for every thread, then arm fault injection.
 
         Workers get stable names (``"<prefix>-w<tid>"``) so deadlock and
-        timeout diagnostics identify the stuck thread.  Kill events are
-        armed after all workers exist so every victim is addressable.
+        timeout diagnostics identify the stuck thread.  They start as one
+        group wake, in thread order.  Kill events are armed after all
+        workers exist so every victim is addressable.
         """
         self.label = prefix
         if self.trace is not None:
@@ -246,9 +247,9 @@ class LoopContext:
         if self.check is not None:
             self.check.begin_loop(prefix, self.n_threads, self.access)
         for tid in range(self.n_threads):
-            self.procs[tid] = self.engine.spawn(body(tid),
-                                                name=f"{prefix}-w{tid}",
-                                                tid=tid)
+            self.procs[tid] = Process(self.engine, body(tid),
+                                      name=f"{prefix}-w{tid}", tid=tid)
+        self.engine.wake(list(self.procs.values()), 0.0)
         if self.faults is not None:
             self.faults.begin_loop(self.engine, self.barrier, self.procs)
 
@@ -275,7 +276,7 @@ class LoopContext:
         """
         engine, stats, chip = self.engine, self.stats, self.chip
         if self.faults is not None:
-            now = engine.now
+            now = engine._now
             hang = self.faults.hang_delay(tid, now)
             if hang > 0:
                 stats.hang_cycles += hang
@@ -284,13 +285,15 @@ class LoopContext:
                     self.trace.span("hang", PID_THREADS, tid, now, now + hang)
                 yield hang
         compute, stall, volume = self.work.range_cost(lo, hi)
-        core = chip.core_of(tid)
-        core.begin()
-        start = engine.now
+        # Chip.core_of, Core.begin and Core.finish, inlined: this runs
+        # once per chunk.
+        core = chip.cores[tid % chip._n_cores]
+        core.busy += 1
+        start = engine._now
         duration = chip.execute(start, tid, compute, stall, volume)
         yield duration
-        core.finish()
-        end = engine.now
+        core.busy -= 1
+        end = engine._now
         stats.busy_cycles += duration
         stats.chunks.append(ChunkExec(lo, hi, tid, start, end))
         if self.trace is not None:

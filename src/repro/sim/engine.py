@@ -11,8 +11,10 @@ The engine is deterministic: ties in time are broken by scheduling order
 produce identical schedules — a property the tests assert and the
 experiment harness relies on for reproducibility.  A process whose
 wake-up is strictly the next event resumes in place instead of taking a
-heap round-trip (:meth:`Process._step`); the order, count and time of
-every event are unchanged.
+heap round-trip (:meth:`Process._step`), and processes woken together
+(a barrier release, a condition firing, a region's workers starting)
+share one heap entry that resumes them in order (:meth:`Engine.wake`);
+the order, count and time of every event are unchanged.
 
 Time is measured in clock cycles (floats).  Resources with queueing
 semantics (atomics, memory channels) live in :mod:`repro.sim.resources`
@@ -144,7 +146,48 @@ class Engine:
         ``tid`` is the simulated software-thread id — used by the tracer
         to place the process' events on its thread track.
         """
-        return Process(self, gen, name=name, tid=tid)
+        proc = Process(self, gen, name=name, tid=tid)
+        self.wake([proc], 0.0)
+        return proc
+
+    def wake(self, procs: list["Process"], delay: float) -> None:
+        """Resume *procs* after *delay* cycles, in list order.
+
+        The group takes one heap entry (one ``seq``) in place of one per
+        member.  Its members' entries would have had consecutive ``seq``
+        numbers at one time, so no other event could run between them;
+        :meth:`_resume` runs them back to back, each still one event.
+        """
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay}")
+        if len(procs) == 1:
+            entry = (self._now + delay, next(self._seq), procs[0]._wake, ())
+        else:
+            entry = (self._now + delay, next(self._seq), self._resume,
+                     (procs,))
+        heappush(self._heap, entry)
+
+    def _resume(self, procs: list["Process"]) -> None:
+        """Heap callback of a group :meth:`wake`: step each member.
+
+        Each member but the last is counted, and the event budget
+        checked, right after its step, where ``run()`` would count it had
+        it been popped on its own; ``run()`` counts the last.  While a
+        sibling is still pending at ``now``, no wake-up can be strictly
+        the next event, so the horizon is lowered to keep the member from
+        running ahead (see :meth:`Process._step`).
+        """
+        horizon, self._horizon = self._horizon, -math.inf
+        try:
+            for proc in procs[:-1]:
+                proc._step()
+                self.events_processed += 1
+                if self.max_events is not None \
+                        and self.events_processed > self.max_events:
+                    raise self._timeout("events", self.max_events)
+        finally:
+            self._horizon = horizon
+        procs[-1]._step()
 
     def blocked_processes(self) -> list[str]:
         """Descriptions of every live process blocked on a primitive."""
@@ -208,7 +251,12 @@ class Engine:
 
 
 class Process:
-    """A generator-backed simulated thread (see module docstring)."""
+    """A generator-backed simulated thread (see module docstring).
+
+    Creating one registers it with the engine but schedules nothing:
+    whoever creates it wakes it (:meth:`Engine.spawn`, or one group
+    :meth:`Engine.wake` for a region's workers).
+    """
 
     def __init__(self, engine: Engine, gen: Generator, name: str | None = None,
                  tid: int | None = None):
@@ -222,7 +270,6 @@ class Process:
         self._wake = self._step  # one bound method for every heap entry
         engine._active += 1
         engine._processes.append(self)
-        engine.schedule(0.0, self._step)
 
     def _retire(self, killed: bool = False) -> None:
         self.finished = True
@@ -243,7 +290,9 @@ class Process:
         would pop next: the process runs ahead in place, counting the
         event (and checking the event budget) exactly where ``run()``
         would.  Equal times go through the heap, where the older
-        sequence number wins (DESIGN.md §3, "Event order").
+        sequence number wins (DESIGN.md §3, "Event order"), and so does
+        every wake-up of a group member with siblings still pending
+        (:meth:`Engine._resume` lowers the horizon for those).
         """
         self.waiting_on = None
         engine = self.engine
@@ -327,7 +376,7 @@ class Barrier:
                 if trace is not None and p.tid is not None:
                     trace.end("barrier-wait", PID_THREADS, p.tid,
                               self.engine.now + release_delay)
-                self.engine.schedule(release_delay, p._step)
+            self.engine.wake(waiting, release_delay)
             if self.engine.check is not None:
                 tids = [p.tid for p in waiting if p.tid is not None]
                 self.engine.check.on_barrier(self, tids, self.engine.now)
@@ -352,7 +401,7 @@ class Condition:
         if self.fired:
             if self.engine.check is not None:
                 self.engine.check.on_cond_wake(self, proc.tid)
-            self.engine.schedule(0.0, proc._step)
+            self.engine.wake([proc], 0.0)
         else:
             proc.waiting_on = self
             self._waiting.append(proc)
@@ -379,4 +428,5 @@ class Condition:
                 trace.end("cond-wait", PID_THREADS, p.tid, self.engine.now)
             if check is not None:
                 check.on_cond_wake(self, p.tid)
-            self.engine.schedule(0.0, p._step)
+        if waiting:
+            self.engine.wake(waiting, 0.0)

@@ -194,6 +194,57 @@ class TestHandBuiltSchedules:
                                                 True, 1.0)
         assert per_thread == {} and dups == 0
 
+    def test_sequential_chunk_reaches_a_vertex_from_several_entries(self):
+        """Entries 0, 2 and 4 of one single-chunk wave all reach vertex 1:
+        the chunk claims it once."""
+        star = CSRGraph.from_edges(6, [(0, 1), (2, 1), (4, 1), (4, 5)])
+        dist = np.array([0, -1, 0, -1, 0, -1])
+        per_thread, dups = assert_replays_agree(
+            star, [0, 2, 4], dist, [chunk(0, 3, 0, 0)], 1, True, 1.0)
+        assert dups == 0
+        assert list(per_thread) == [0] and per_thread[0].tolist() == [1, 5]
+
+    @pytest.mark.parametrize("p_race", [0.0, 1.0])
+    def test_two_lockstep_chunks_reach_a_vertex_at_one_instant(self, p_race):
+        """Threads 0 and 1 reach vertex 2 at instant (0, 0): thread 0's
+        chunk comes first in wave order and wins; thread 1 duplicates it
+        when the race windows always (1.0) or never (0.0) overlap."""
+        vee = CSRGraph.from_edges(3, [(0, 2), (1, 2)])
+        dist = np.array([0, 0, -1])
+        chunks = [chunk(1, 2, 1, 0), chunk(0, 1, 0, 0)]
+        per_thread, dups = assert_replays_agree(vee, [0, 1], dist, chunks, 2,
+                                                True, p_race)
+        assert dups == int(p_race)
+        expected = {0: [2], 1: [2]} if p_race else {0: [2]}
+        assert {t: v.tolist() for t, v in per_thread.items()} == expected
+
+    def test_stranded_entries_leave_their_neighbours_unclaimed(self):
+        """Entries 1 and 2 sit on a killed worker's range: vertex 4 (only
+        theirs) stays -1, vertex 3 (also entry 0's) is claimed."""
+        g = CSRGraph.from_edges(5, [(0, 3), (1, 3), (1, 4), (2, 4)])
+        dist = np.array([0, 0, 0, -1, -1])
+        chunks = [chunk(0, 1, 0, 0)]
+        per_thread, dups = assert_replays_agree(g, [0, 1, 2], dist, chunks, 2,
+                                                True, 1.0)
+        replayed = dist.copy()
+        _vectorised(g, np.array([0, 1, 2]), replayed, chunks, 2, 3, True,
+                    1.0, 0)
+        assert replayed.tolist() == [0, 0, 0, 3, -1]
+        assert dups == 0 and per_thread[0].tolist() == [3]
+
+    def test_vertex_reachable_only_through_stranded_entries(self):
+        """Every claim sits on a stranded range: nothing is written."""
+        g = CSRGraph.from_edges(4, [(0, 2), (1, 3)])
+        dist = np.array([0, 0, -1, -1])
+        chunks = [chunk(0, 0, 0, 0)]
+        per_thread, dups = assert_replays_agree(g, [0, 1], dist, chunks, 2,
+                                                True, 1.0)
+        replayed = dist.copy()
+        assert _vectorised(g, np.array([0, 1]), replayed, chunks, 2, 3, True,
+                           1.0, 0) == ({}, 0)
+        assert replayed.tolist() == [0, 0, -1, -1]
+        assert per_thread == {} and dups == 0
+
     def test_later_instant_sees_earlier_commit(self):
         """Vertex 2 is reached by chunk 1 at position 0 and by chunk 0 at
         position 1: only the first instant may claim it."""

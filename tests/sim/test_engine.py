@@ -487,3 +487,181 @@ class TestRunAhead:
             eng.run()
         assert exc.value.kind == "events"
         assert (exc.value.now, exc.value.events) == (3.0, 4)
+
+
+class TestGroupWake:
+    """Processes woken together (a barrier release, a condition firing, a
+    region's workers starting) share one heap entry.  The expected values
+    were recorded with one heap entry per woken process."""
+
+    def test_event_budget_inside_released_barrier_group(self):
+        from repro.sim.engine import SimulationTimeout
+        eng = Engine(max_events=7)
+        barrier = Barrier(eng, 3, cost_fn=lambda n: 4.0)
+        log = []
+
+        def proc(name, delay):
+            yield delay
+            yield barrier
+            log.append((name, eng.now))
+            yield 1.0
+
+        for i, delay in enumerate((1.0, 3.0, 2.0)):
+            eng.spawn(proc(f"w{i}", delay), name=f"w{i}")
+        with pytest.raises(SimulationTimeout) as exc:
+            eng.run()
+        assert (exc.value.kind, exc.value.events, exc.value.now) == \
+            EXPECTED_BUDGET_IN_GROUP["exc"]
+        assert exc.value.blocked == EXPECTED_BUDGET_IN_GROUP["blocked"]
+        assert log == EXPECTED_BUDGET_IN_GROUP["log"]
+        assert eng.events_processed == exc.value.events
+
+    @pytest.mark.parametrize("budget", range(1, 12))
+    def test_every_event_budget_trips_where_it_did(self, budget):
+        from repro.sim.engine import SimulationTimeout
+        eng = Engine(max_events=budget)
+        barrier = Barrier(eng, 3, cost_fn=lambda n: 4.0)
+        cond = Condition(eng)
+
+        def proc(delay):
+            yield delay
+            yield barrier
+            yield cond
+            yield 0.0
+
+        def firer():
+            yield 9.0
+            cond.fire()
+
+        for delay in (1.0, 3.0, 2.0):
+            eng.spawn(proc(delay))
+        eng.spawn(firer())
+        try:
+            eng.run()
+            got = ("done", eng.events_processed, eng.now)
+        except SimulationTimeout as exc:
+            got = ("timeout", exc.events, exc.now, exc.blocked)
+        assert got == EXPECTED_EVERY_BUDGET[budget]
+
+    def test_member_yielding_zero_resumes_after_pending_siblings(self):
+        eng = Engine()
+        cond = Condition(eng)
+        log = []
+
+        def waiter(name, zero):
+            yield cond
+            log.append((name, "woke", eng.now))
+            if zero:
+                yield 0
+                log.append((name, "after 0", eng.now))
+            yield 2.0
+            log.append((name, "slept", eng.now))
+
+        def firer():
+            yield 5.0
+            cond.fire()
+
+        eng.spawn(waiter("a", True))
+        eng.spawn(waiter("b", False))
+        eng.spawn(waiter("c", True))
+        eng.spawn(firer())
+        eng.run()
+        assert log == [("a", "woke", 5.0), ("b", "woke", 5.0),
+                       ("c", "woke", 5.0), ("a", "after 0", 5.0),
+                       ("c", "after 0", 5.0), ("b", "slept", 7.0),
+                       ("a", "slept", 7.0), ("c", "slept", 7.0)]
+        assert eng.events_processed == EXPECTED_ZERO_YIELD_EVENTS
+
+    @pytest.mark.parametrize("name", ["omp-dynamic", "omp-static", "cilk"])
+    def test_kill_armed_at_zero_after_the_spawn_group(self, name,
+                                                      monkeypatch):
+        import hashlib
+
+        import numpy as np
+
+        from repro.machine.config import KNF
+        from repro.machine.costs import WorkCosts
+        from repro.runtime.base import Schedule
+        from repro.runtime.cilk import cilk_parallel_for
+        from repro.runtime.openmp import openmp_parallel_for
+        from repro.sim import engine as _engine
+        from repro.sim.faults import (FaultInjector, FaultKind, FaultPlan,
+                                      FaultSpec)
+
+        rng = np.random.default_rng(5)
+        work = WorkCosts(rng.gamma(2.0, 150.0, 600),
+                         rng.exponential(80.0, 600), np.full(600, 0.25))
+        inj = FaultInjector(FaultPlan(specs=(
+            FaultSpec(FaultKind.THREAD_KILL, 2, 0.0),)))
+        events = []
+        run = _engine.Engine.run
+
+        def counting_run(self, *args, **kwargs):
+            end = run(self, *args, **kwargs)
+            events.append(self.events_processed)
+            return end
+
+        monkeypatch.setattr(_engine.Engine, "run", counting_run)
+        if name == "cilk":
+            stats = cilk_parallel_for(KNF, 8, work, grain=16, seed=2,
+                                      faults=inj)
+        else:
+            schedule = (Schedule.DYNAMIC if name == "omp-dynamic"
+                        else Schedule.STATIC)
+            stats = openmp_parallel_for(KNF, 8, work, schedule=schedule,
+                                        chunk=16, faults=inj)
+        digest = hashlib.sha256(";".join(
+            f"{c.lo},{c.hi},{c.thread},{c.start!r},{c.end!r}"
+            for c in stats.chunks).encode()).hexdigest()[:16]
+        # Every worker's first step precedes the kill event, so the victim
+        # dies at its second scheduling point, not its first.
+        assert stats.killed_threads == [2]
+        assert (digest, len(stats.chunks), events, stats.span) == \
+            EXPECTED_KILL_AT_ZERO[name]
+
+
+R = "<runnable or sleeping>"
+
+
+def _barrier(arrived, trips):
+    return f"Barrier(parties=3, arrived={arrived}, trips={trips})"
+
+
+def _cond(fired, waiters):
+    return f"Condition(fired={fired}, waiters={waiters})"
+
+
+def _waiting(*targets):
+    return [f"proc-{i} waiting on {t}" for i, t in enumerate(targets)]
+
+
+EXPECTED_BUDGET_IN_GROUP = {
+    "exc": ("events", 8, 7.0),
+    "blocked": [f"w0 waiting on {R}", f"w1 waiting on {_barrier(0, 1)}",
+                f"w2 waiting on {R}"],
+    "log": [("w0", 7.0), ("w2", 7.0)],
+}
+EXPECTED_EVERY_BUDGET = {
+    1: ("timeout", 2, 0.0, _waiting(R, R, R, R)),
+    2: ("timeout", 3, 0.0, _waiting(R, R, R, R)),
+    3: ("timeout", 4, 0.0, _waiting(R, R, R, R)),
+    4: ("timeout", 5, 1.0, _waiting(_barrier(1, 0), R, R, R)),
+    5: ("timeout", 6, 2.0, _waiting(_barrier(2, 0), R, _barrier(2, 0), R)),
+    6: ("timeout", 7, 3.0, _waiting(_barrier(0, 1), _barrier(0, 1),
+                                    _barrier(0, 1), R)),
+    7: ("timeout", 8, 7.0, _waiting(_cond(False, 1), _barrier(0, 1),
+                                    _barrier(0, 1), R)),
+    8: ("timeout", 9, 7.0, _waiting(_cond(False, 2), _barrier(0, 1),
+                                    _cond(False, 2), R)),
+    9: ("timeout", 10, 7.0, _waiting(_cond(False, 3), _cond(False, 3),
+                                     _cond(False, 3), R)),
+    10: ("timeout", 11, 9.0, _waiting(_cond(True, 0), _cond(True, 0),
+                                      _cond(True, 0))),
+    11: ("timeout", 12, 9.0, _waiting(R, _cond(True, 0), _cond(True, 0))),
+}
+EXPECTED_ZERO_YIELD_EVENTS = 13
+EXPECTED_KILL_AT_ZERO = {
+    "omp-dynamic": ("65b871ada6f4d64d", 38, [99], 38572.32227306765),
+    "omp-static": ("37c1b3146a5dcfa9", 34, [84], 34443.83881482977),
+    "cilk": ("6723c712ed8a86c8", 64, [177], 40209.445142023666),
+}
