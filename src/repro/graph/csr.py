@@ -20,7 +20,8 @@ writes the relabelled keys block by block into one int64 array, sorts it
 once and decodes it block by block into the int32 ``indices``;
 :meth:`CSRGraph.validate` holds one int64 array, the reversed keys.  The
 access profile (:mod:`repro.machine.cache`) and the colouring kernel
-walk their CSR entries with the same helper and budget.
+walk their CSR entries with the same helper and budget, and graph
+generation (:mod:`repro.graphstore.builder`) uses the same budget.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from repro._util import as_int_array
 
 __all__ = ["CSRGraph"]
 
-#: CSR entries per row-aligned block of a pass over every entry.  A
-#: block's int64 temporaries take 0.5 MiB each, so such a pass's scratch
-#: does not grow with the edge count.
+#: CSR entries per block of a pass over every entry: the row-aligned
+#: passes here, in the access profile and in the colouring kernel, and
+#: the streaming builder's blocks during generation.  A block's int64
+#: temporaries take 0.5 MiB each, so such a pass's scratch does not grow
+#: with the edge count.  Read at call time.
 BLOCK_ENTRIES = 1 << 16
 
 

@@ -17,9 +17,10 @@ kernels are sensitive to —
 
 All generators are vectorised and deterministic given a seed.
 
-The random-structure generators stream: edges are emitted in bounded
-blocks into :class:`repro.graphstore.builder.StreamingCSRBuilder`
-instead of materialising the full ``(u, v)`` edge array, so peak RSS is
+The random-structure generators stream: edges are emitted in blocks of
+the builder's size (:data:`repro.graph.csr.BLOCK_ENTRIES`) into
+:class:`repro.graphstore.builder.StreamingCSRBuilder` instead of
+materialising the full ``(u, v)`` edge array, so peak RSS is
 O(n + block) and instances scale to 10⁶–10⁷ vertices.  RNG draws are
 chunked **along the first axis only**, which numpy's ``Generator``
 guarantees to be bit-identical to one whole-array draw — every graph

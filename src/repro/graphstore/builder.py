@@ -37,12 +37,10 @@ import tempfile
 import numpy as np
 import numpy.typing as npt
 
+from repro.graph import csr
 from repro.graph.csr import CSRGraph, _sort_entries
 
-__all__ = ["StreamingCSRBuilder", "DEFAULT_BLOCK_EDGES"]
-
-#: Directed entries processed per block.
-DEFAULT_BLOCK_EDGES = 1 << 20
+__all__ = ["StreamingCSRBuilder"]
 
 
 class StreamingCSRBuilder:
@@ -50,6 +48,9 @@ class StreamingCSRBuilder:
 
     Vertex IDs must fit int32 (n < 2**31 — far above the 10⁷ target).
     A builder is single-use: :meth:`finalize` may be called once.
+    ``block_edges`` is the directed entries processed per block; it
+    defaults to :data:`repro.graph.csr.BLOCK_ENTRIES`, read when the
+    builder is made.
     """
 
     def __init__(self, n_vertices: int, block_edges: int | None = None,
@@ -60,9 +61,9 @@ class StreamingCSRBuilder:
             raise ValueError(f"n_vertices {n_vertices} exceeds int32 range")
         self.n_vertices = int(n_vertices)
         self.block_edges = int(block_edges if block_edges is not None
-                               else DEFAULT_BLOCK_EDGES)
-        if self.block_edges < 2:
-            raise ValueError(f"block_edges must be >= 2, got {block_edges}")
+                               else csr.BLOCK_ENTRIES)
+        if self.block_edges < 1:
+            raise ValueError(f"block_edges must be >= 1, got {block_edges}")
         self._workdir = workdir
         self._raw_degrees = np.zeros(self.n_vertices, dtype=np.int64)
         self._spill = None  # lazy: empty graphs never touch disk

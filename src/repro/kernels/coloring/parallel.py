@@ -215,10 +215,12 @@ def _replay_tentative(graph, visit, colors, chunks, n_threads,
     simultaneously-processed adjacent vertices, which is the race the
     paper's speculative algorithm tolerates and repairs.
 
-    The instants are laid out once per pass and every neighbour list is
-    gathered once, into one int32 array, a row block of the gathered
-    lists at a time (:func:`~repro.graph.csr._row_blocks`); each instant
-    then costs one gather of colour bits and one segmented OR.
+    The instants are laid out once per pass.  Neighbour lists are
+    gathered one block of whole instants at a time, at most
+    :data:`~repro.graph.csr.BLOCK_ENTRIES` entries unless one instant
+    holds more (:func:`~repro.graph.csr._row_blocks` over the instants'
+    entry offsets), into one int32 array; each instant then costs one
+    gather of colour bits and one segmented OR.
     ``write_time`` records each vertex's instant for the conflict pass
     and is never read here: within a pass every earlier write is visible
     and no same-instant write is.
@@ -261,44 +263,46 @@ def _replay_tentative(graph, visit, colors, chunks, n_threads,
         verts, inst, deg = verts[keep], inst[keep], deg[keep]
     if not len(verts):
         return last
-    # One lean gather of every neighbour list, in instant order: the
-    # lists of verts form a CSR with offsets ``bounds``.
+    # The neighbour lists of verts, in instant order, form a CSR with
+    # offsets ``bounds``; instant k holds vertices v_cut[k]:v_cut[k + 1]
+    # and entries e_cut[k]:e_cut[k + 1].
     bounds = np.zeros(len(verts) + 1, dtype=np.int64)
     np.cumsum(deg, out=bounds[1:])
-    off = bounds[:-1]
-    nbrs = np.empty(int(bounds[-1]), dtype=indices.dtype)
-    for a, b in _row_blocks(bounds):
-        nbrs[off[a]:bounds[b]] = indices[
-            np.repeat(indptr[verts[a:b]] - off[a:b], deg[a:b])
-            + np.arange(off[a], bounds[b])]
-    cuts = np.flatnonzero(np.diff(inst)) + 1
-    v_lo = np.concatenate(([0], cuts))
-    v_hi = np.append(cuts, len(verts))
-    e_lo, e_hi = off[v_lo], np.append(off[cuts], len(nbrs))
-    seg = off - np.repeat(e_lo, v_hi - v_lo)
-    wide = np.logical_or.reduceat(deg >= 64, v_lo)
+    v_cut = np.concatenate(([0], np.flatnonzero(np.diff(inst)) + 1,
+                            [len(verts)]))
+    e_cut = bounds[v_cut]
+    seg = bounds[:-1] - np.repeat(e_cut[:-1], np.diff(v_cut))
+    wide = np.logical_or.reduceat(deg >= 64, v_cut[:-1]).tolist()
+    vc, ec = v_cut.tolist(), e_cut.tolist()
     # Each vertex's colour bit, kept in step with colors through the pass:
     # bit c - 1 for colour c <= 64, none for colour 0 or above 64.
     color_bits = np.zeros(len(colors), dtype=np.uint64)
     low_color = (colors > 0) & (colors <= 64)
     color_bits[low_color] = _BITS[colors[low_color] - 1]
-    for a, b, ea, eb, w in zip(v_lo.tolist(), v_hi.tolist(), e_lo.tolist(),
-                               e_hi.tolist(), wide.tolist()):
-        mask = np.bitwise_or.reduceat(color_bits.take(nbrs[ea:eb]), seg[a:b])
-        low = ~mask & (mask + _ONE)
-        # frexp(2**k) has exponent k + 1: the lowest free colour, or 0
-        # when colours 1..64 are all taken.
-        mex = np.frexp(low.astype(np.float64))[1]
-        if w:
-            # Only a vertex of degree >= 64 can see all 64 low colours:
-            # exact first fit over its visible neighbour colours.
-            nc = colors.take(nbrs[ea:eb])
-            ends = np.append(seg[a + 1:b], eb - ea)
-            for i in np.flatnonzero(mex == 0).tolist():
-                vn = nc[seg[a + i]:ends[i]]
-                mex[i] = _first_fit_stamp(vn[vn > 0])
-        colors[verts[a:b]] = mex
-        color_bits[verts[a:b]] = low
+    for k0, k1 in _row_blocks(e_cut):
+        # One int32 gather of the block's neighbour lists.
+        a0, b0, base = vc[k0], vc[k1], ec[k0]
+        nbrs = indices[np.repeat(indptr[verts[a0:b0]] - bounds[a0:b0],
+                                 deg[a0:b0]) + np.arange(base, ec[k1])]
+        for k in range(k0, k1):
+            a, b = vc[k], vc[k + 1]
+            mask = np.bitwise_or.reduceat(
+                color_bits.take(nbrs[ec[k] - base:ec[k + 1] - base]),
+                seg[a:b])
+            low = ~mask & (mask + _ONE)
+            # frexp(2**k) has exponent k + 1: the lowest free colour, or 0
+            # when colours 1..64 are all taken.
+            mex = np.frexp(low.astype(np.float64))[1]
+            if wide[k] and not mex.all():
+                # Only a vertex of degree >= 64 can see all 64 low
+                # colours: exact first fit over its visible neighbour
+                # colours.
+                for i in np.flatnonzero(mex == 0).tolist():
+                    vn = colors.take(nbrs[bounds[a + i] - base:
+                                          bounds[a + i + 1] - base])
+                    mex[i] = _first_fit_stamp(vn[vn > 0])
+            colors[verts[a:b]] = mex
+            color_bits[verts[a:b]] = low
     return last
 
 

@@ -37,8 +37,10 @@ the tables by each block's distances and sums them per vertex with a
 cumulative sum that starts from the previous blocks' total: the
 same floats as one cumulative sum over every entry, in O(vertices +
 block) memory.  The entry-weighted hit fractions are sums over every
-entry; they are computed on first read (telemetry, reports, tests), so
-an unobserved run never holds an array of CSR-entry length.
+entry; they are computed on first read (telemetry, reports, tests),
+rebuilding the per-distance tables from four scalars, so an unobserved
+run never holds an array of CSR-entry length and a memoised profile
+holds no table as long as the largest ID distance.
 """
 
 from __future__ import annotations
@@ -109,21 +111,42 @@ def _entry_distances(graph: CSRGraph, r0: int, r1: int) -> np.ndarray:
     return np.abs(dist, out=dist)
 
 
-def _hit_fractions(graph: CSRGraph, p_local: np.ndarray,
-                   p_remote: np.ndarray,
-                   p_dram: np.ndarray) -> tuple[float, float, float]:
+def _distance_tables(span: int, footprint: float, share: float,
+                     residency: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-distance ``(local, peer, dram)`` hit probabilities for the ID
+    distances ``0 .. span - 1``.
+
+    LRU-like capacity curve: a reuse distance below the cache share is
+    (nearly) always a hit, beyond it (nearly) always a miss; the squared
+    exponent gives the sharp-but-smooth knee of real set-associative
+    caches.  Banded FEM orderings land well inside the knee (~97% hits),
+    the §V-B shuffle lands far outside (~0%).  A local miss is served by
+    a peer cache with probability *residency*, else by DRAM.
+    """
+    reuse = footprint * np.arange(span, dtype=np.float64)
+    p_local = np.exp(-((reuse / share) ** 2))
+    p_remote = (1.0 - p_local) * residency
+    p_dram = (1.0 - p_local) * (1.0 - residency)
+    return p_local, p_remote, p_dram
+
+
+def _hit_fractions(graph: CSRGraph, *table_args) -> tuple[float, float, float]:
     """Entry-weighted ``(local, peer, dram)`` hit fractions of the sweep.
 
-    Each is a (pairwise) numpy sum of its per-distance table gathered over
-    every CSR entry, divided by the entry count: the one place the model
-    holds an entry-length array, so it runs only when a fraction is read.
+    Each is a (pairwise) numpy sum of its per-distance table
+    (:func:`_distance_tables` of *table_args*, rebuilt here so that a
+    memoised profile holds no table) gathered over every CSR entry,
+    divided by the entry count: the one place the model holds an
+    entry-length array, so it runs only when a fraction is read.
     """
+    tables = _distance_tables(*table_args)
     dist = _entry_distances(graph, 0, graph.n_vertices)
     entries = np.empty(len(dist))
     total = max(1, len(dist))
     local, remote, dram = (
         float(np.take(table, dist, out=entries, mode="clip").sum() / total)
-        for table in (p_local, p_remote, p_dram))
+        for table in tables)
     return local, remote, dram
 
 
@@ -181,25 +204,18 @@ def access_profile(
     if len(rows):
         span += int(max((rows - indices[indptr[rows]]).max(),
                         (indices[indptr[rows + 1] - 1] - rows).max()))
-    reuse = footprint * np.arange(span, dtype=np.float64)
 
     threads_per_core = -(-n_threads // config.n_cores)
     cores_used = min(n_threads, config.n_cores)
     per_core_lines = config.cache_lines_per_core * cache_scale
     share = max(1.0, per_core_lines / threads_per_core)
-    # LRU-like capacity curve: a reuse distance below the cache share is
-    # (nearly) always a hit, beyond it (nearly) always a miss; the squared
-    # exponent gives the sharp-but-smooth knee of real set-associative
-    # caches.  Banded FEM orderings land well inside the knee (~97% hits),
-    # the §V-B shuffle lands far outside (~0%).
-    p_local = np.exp(-((reuse / share) ** 2))
 
     # --- chip residency of the hot state array --------------------------
     state_lines = n * state_bytes / line
     other_cache = per_core_lines * max(0, cores_used - 1)
     residency = min(1.0, other_cache / max(1.0, state_lines))
-    p_remote = (1.0 - p_local) * residency
-    p_dram = (1.0 - p_local) * (1.0 - residency)
+    table_args = (span, footprint, share, residency)
+    p_local, p_remote, p_dram = _distance_tables(*table_args)
 
     per_entry_stall = (p_local * config.local_hit_cycles
                        + p_remote * config.remote_hit_cycles
@@ -236,8 +252,7 @@ def access_profile(
     stall += config.stream_visibility * config.dram_cycles * stream_lines
 
     return AccessProfile(stall, volume,
-                         partial(_hit_fractions, graph, p_local, p_remote,
-                                 p_dram))
+                         partial(_hit_fractions, graph, *table_args))
 
 
 @lru_cache(maxsize=1024)

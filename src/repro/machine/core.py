@@ -28,23 +28,17 @@ __all__ = ["Core", "Chip"]
 
 
 class Core:
-    """One physical core: tracks how many SMT contexts are busy."""
+    """One physical core: counts its busy SMT contexts.
+
+    :meth:`repro.runtime.base.LoopContext.execute_chunk` raises ``busy``
+    when a chunk starts on the core and lowers it when the chunk ends.
+    """
 
     __slots__ = ("index", "busy")
 
     def __init__(self, index: int):
         self.index = index
         self.busy = 0
-
-    def begin(self) -> None:
-        """Mark one SMT context busy (call before executing a chunk)."""
-        self.busy += 1
-
-    def finish(self) -> None:
-        """Release one SMT context (call after the chunk completes)."""
-        if self.busy <= 0:
-            raise RuntimeError(f"core {self.index}: finish() without begin()")
-        self.busy -= 1
 
 
 class Chip:
@@ -62,18 +56,14 @@ class Chip:
         self.n_threads = n_threads
         self.faults = faults  # optional repro.sim.faults.FaultInjector
         self.cores = [Core(i) for i in range(config.n_cores)]
+        # Scatter placement: thread i lives on core i % n_cores.  This
+        # matches the paper's setup: with <= 31 threads each gets its own
+        # KNF core; SMT co-residency starts past the core count.
+        self.thread_cores = [self.cores[t % config.n_cores]
+                             for t in range(n_threads)]
         self.channel = MemoryChannel(config.mem_banks, config.dram_transfer_cycles)
-        # Per-chunk constants of execute(), read once.
-        self._n_cores = config.n_cores
+        # Per-chunk constant of execute(), read once.
         self._issue_width = config.issue_width
-
-    def core_of(self, thread: int) -> Core:
-        """Scatter placement: thread *i* lives on core ``i % n_cores``.
-
-        This matches the paper's setup — with ≤31 threads each gets its own
-        KNF core; SMT co-residency starts past the core count.
-        """
-        return self.cores[thread % self._n_cores]
 
     def threads_per_core(self) -> int:
         """Maximum SMT residency under scatter placement."""
@@ -83,14 +73,14 @@ class Chip:
         """Number of distinct cores hosting at least one thread."""
         return min(self.n_threads, self.config.n_cores)
 
-    def execute(self, now: float, thread: int, compute: float, stall: float,
+    def execute(self, now: float, core: Core, compute: float, stall: float,
                 volume: float) -> float:
-        """Duration of a chunk started at *now* by *thread*.
+        """Duration of a chunk started at *now* on *core* (a member of
+        :attr:`thread_cores`).
 
-        The caller must bracket the call between ``core.begin()`` and
-        ``core.finish()``; occupancy is read from the core.
+        The caller counts the chunk in ``core.busy`` for as long as it
+        runs; occupancy is read from the core.
         """
-        core = self.cores[thread % self._n_cores]
         k = max(1, core.busy)
         iw = self._issue_width
         jitter = 1.0

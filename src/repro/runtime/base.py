@@ -285,12 +285,10 @@ class LoopContext:
                     self.trace.span("hang", PID_THREADS, tid, now, now + hang)
                 yield hang
         compute, stall, volume = self.work.range_cost(lo, hi)
-        # Chip.core_of, Core.begin and Core.finish, inlined: this runs
-        # once per chunk.
-        core = chip.cores[tid % chip._n_cores]
+        core = chip.thread_cores[tid]
         core.busy += 1
         start = engine._now
-        duration = chip.execute(start, tid, compute, stall, volume)
+        duration = chip.execute(start, core, compute, stall, volume)
         yield duration
         core.busy -= 1
         end = engine._now

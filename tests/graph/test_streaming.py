@@ -20,9 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.graph import csr
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, fem_mesh, rmat, tube_mesh
-from repro.graphstore import builder
 
 TUBE_PARAMS = dict(section=30, clique=8, cliques_per_vertex=1.0,
                    coupling=3, hubs=4, hub_degree=12, seed=3)
@@ -37,39 +37,40 @@ def _hash(graph: CSRGraph) -> bytes:
 
 
 class TestBlockSizeParity:
-    """Output must not depend on the block size the builder happens to use."""
+    """Output must not depend on the block budget the builder and the
+    generators use."""
 
     @pytest.mark.parametrize("block", [1024, 4096, 1 << 20])
     def test_tube_mesh(self, block, monkeypatch):
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
         chunked = tube_mesh(600, **TUBE_PARAMS)
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 1 << 24)
         one_shot = tube_mesh(600, **TUBE_PARAMS)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [1024, 1 << 20])
     def test_erdos_renyi(self, block, monkeypatch):
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
         chunked = erdos_renyi(1500, 6000, seed=5)
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 1 << 24)
         one_shot = erdos_renyi(1500, 6000, seed=5)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [1024, 1 << 20])
     def test_fem_mesh(self, block, monkeypatch):
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
         chunked = fem_mesh(800, elem_size=6, elems_per_vertex=1.5,
                            window=40, hubs=3, hub_degree=20, seed=2)
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 1 << 24)
         one_shot = fem_mesh(800, elem_size=6, elems_per_vertex=1.5,
                             window=40, hubs=3, hub_degree=20, seed=2)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [2048, 1 << 20])
     def test_rmat(self, block, monkeypatch):
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
         chunked = rmat(9, 8, seed=1)
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", 1 << 24)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 1 << 24)
         one_shot = rmat(9, 8, seed=1)
         assert _hash(chunked) == _hash(one_shot)
 
@@ -102,7 +103,7 @@ class TestPeakMemory:
         """
         n = 40_000
         block = 32_768
-        monkeypatch.setattr(builder, "DEFAULT_BLOCK_EDGES", block)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
         tracemalloc.start()
         try:
             graph = tube_mesh(n, section=200, clique=8,
@@ -120,3 +121,21 @@ class TestPeakMemory:
         # And the absolute bound: O(n) counters + O(block) scratch.
         budget = 64 * n + 200 * block
         assert peak < budget, f"peak {peak} exceeds O(n + block) budget {budget}"
+
+    def test_tube_mesh_below_4_bytes_per_entry(self, monkeypatch):
+        """The builder and the generator take their block size from the
+        one budget, ``csr.BLOCK_ENTRIES``: at 4,096 entries a block's
+        scratch is negligible, and what is left is O(n) counters.  With
+        blocks of 1 Mi entries this mesh is one block, about 57 bytes
+        per entry."""
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 4096)
+        tracemalloc.start()
+        try:
+            graph = tube_mesh(12_000, section=114, clique=35,
+                              cliques_per_vertex=1.0, coupling=9, hubs=4,
+                              hub_degree=70, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.n_directed_entries > 500_000
+        assert peak < 4 * graph.n_directed_entries

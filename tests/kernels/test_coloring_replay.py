@@ -278,6 +278,48 @@ def test_round0_replay_and_conflicts_below_8_bytes_per_entry(monkeypatch,
     assert peak < 8 * g.n_directed_entries
 
 
+@pytest.fixture(scope="module")
+def mesh_12k():
+    return tube_mesh(12_000, section=114, clique=35, cliques_per_vertex=1.0,
+                     coupling=9, hubs=4, hub_degree=70, seed=3)
+
+
+@pytest.mark.parametrize("n_threads", [31, 121])
+@pytest.mark.parametrize("order", ["natural", "random"])
+def test_round0_replay_below_3_and_conflicts_below_4_bytes_per_entry(
+        monkeypatch, mesh_12k, order, n_threads):
+    """The replay gathers neighbour lists one block of instants at a
+    time, so it holds no array of entry length: only per-vertex arrays
+    (the whole-pass int32 gather alone took 4 bytes per entry).  The
+    conflict pass that follows holds per-vertex arrays too.  The block
+    budget is shrunk so that block scratch is negligible against the
+    bounds."""
+    monkeypatch.setattr(csr, "BLOCK_ENTRIES", 4096)
+    g = (mesh_12k if order == "natural"
+         else apply_ordering(mesh_12k, "random", seed=0))
+    n, entries = g.n_vertices, g.n_directed_entries
+    assert entries > 500_000
+    visit = np.arange(n, dtype=np.int64)
+    colors = np.zeros(n, dtype=np.int64)
+    write_time = np.full(n, -1, dtype=np.int64)
+    size = -(-n // (4 * n_threads))
+    chunks = [chunk(lo, min(n, lo + size), i % n_threads, i // n_threads)
+              for i, lo in enumerate(range(0, n, size))]
+    tracemalloc.start()
+    try:
+        _replay_tentative(g, visit, colors, chunks, n_threads, write_time, 0)
+        _, replay_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _detect_conflicts(g, visit, colors, write_time,
+                          np.random.default_rng(0), 0.05)
+        _, conflict_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert colors.min() >= 1
+    assert replay_peak < 3 * entries
+    assert conflict_peak < 4 * entries
+
+
 # --- the sequential first fit ------------------------------------------------
 
 @given(graphs(), st.integers(0, 2**16))

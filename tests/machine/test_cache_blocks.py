@@ -1,6 +1,7 @@
 """The access profile's blocked sweep: exact at any block size, and its
 working memory does not grow with the CSR entry count."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -97,3 +98,87 @@ def test_hit_split_computed_only_when_observed():
     fresh = access_profile(graph, KNF, 31, 4, 0.05)
     assert (fresh.p_local, fresh.p_remote, fresh.p_dram) == quiet.hit_split()
     assert np.isclose(fresh.p_local + fresh.p_remote + fresh.p_dram, 1.0)
+
+
+#: ``(p_local, p_remote, p_dram)`` of the 300-vertex tube mesh behind
+#: ``GRAPHS["mesh-random"]``, in natural and in that random order, under
+#: (config, threads, state bytes, cache scale); recorded while every
+#: profile still held its per-distance tables.
+HIT_SPLITS = {
+    ("natural", "KNF", 1, 4, 0.05):
+        (0.9830326971642082, 0.0, 0.016967302835791908),
+    ("natural", "KNF", 121, 4, 0.05):
+        (0.7861402536476341, 0.21385974635236607, 0.0),
+    ("natural", "KNF", 31, 8, 1.0):
+        (0.9999524236657339, 4.7576334266102434e-05, 0.0),
+    ("natural", "HOST_XEON", 8, 4, 0.05):
+        (0.9997304887006422, 0.0002695112993578293, 0.0),
+    ("natural", "KNF", 3, 4, 0.001):
+        (0.3055983914283028, 0.30338869212903163, 0.3910129164426655),
+    ("random", "KNF", 1, 4, 0.05):
+        (0.6706850961780775, 0.0, 0.3293149038219225),
+    ("random", "KNF", 121, 4, 0.05):
+        (0.2171603135231284, 0.7828396864768716, 0.0),
+    ("random", "KNF", 31, 8, 1.0):
+        (0.9984669497542458, 0.0015330502457541917, 0.0),
+    ("random", "HOST_XEON", 8, 4, 0.05):
+        (0.9913872313839687, 0.00861276861603119, 0.0),
+    ("random", "KNF", 3, 4, 0.001):
+        (0.01984252079415132, 0.42823733704822997, 0.5519201421576188),
+}
+MESH_ORDERS = {"natural": tube_mesh(300, 30, 6, seed=3),
+               "random": GRAPHS["mesh-random"]}
+
+
+@pytest.mark.parametrize("key", list(HIT_SPLITS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_hit_split_values_pinned(key):
+    order, config, n_threads, state_bytes, cache_scale = key
+    config = {"KNF": KNF, "HOST_XEON": HOST_XEON}[config]
+    p = access_profile(MESH_ORDERS[order], config, n_threads, state_bytes,
+                       cache_scale)
+    assert (p.p_local, p.p_remote, p.p_dram) == HIT_SPLITS[key]
+
+
+def _arrays_held(obj, skip):
+    """Every ndarray reachable from *obj* through containers, partials,
+    closures and instance attributes, not entering *skip*."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or o is skip:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, (tuple, list, set, frozenset)):
+            todo.extend(o)
+        elif isinstance(o, dict):
+            todo.extend(o.values())
+        elif isinstance(o, functools.partial):
+            todo.extend((o.func, *o.args, *o.keywords.values()))
+        elif callable(o) and hasattr(o, "__code__"):
+            todo.extend(c.cell_contents for c in o.__closure__ or ())
+        elif hasattr(o, "__dict__"):
+            todo.extend(vars(o).values())
+    return found
+
+
+@pytest.mark.parametrize("order", ["natural", "random"])
+def test_memoised_profile_holds_no_distance_table(order):
+    """A memoised profile keeps its per-vertex stall and volume, and no
+    array as long as the largest ID distance: the hit split rebuilds
+    its per-distance tables when read."""
+    graph = MESH_ORDERS[order]
+    cache._access_profile_lru.cache_clear()
+    try:
+        profile = access_profile_cached(graph, KNF, 121, 4, 0.05)
+        before = _arrays_held(profile, graph)
+        split = (profile.p_local, profile.p_remote, profile.p_dram)
+        after = _arrays_held(profile, graph)
+    finally:
+        cache._access_profile_lru.cache_clear()
+    for held in (before, after):
+        assert sorted(map(id, held)) == sorted(
+            map(id, (profile.stall, profile.volume)))
+    assert split == access_profile(graph, KNF, 121, 4, 0.05).hit_split()

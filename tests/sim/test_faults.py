@@ -236,18 +236,17 @@ class TestInjectorWiring:
         assert sum(loop.hang_cycles for loop in run.loop_stats) > 0
 
     def test_mem_jitter_stretches_channel_bound_chunks(self, tiny_machine):
-        # The test mesh is cache-resident, so jitter is asserted at the
-        # Chip level with a memory-bound chunk (the intensity sweep covers
-        # the end-to-end effect on the real suite graphs).
-        from repro.machine.core import Chip
+        # The test mesh is cache-resident, so jitter is asserted on one
+        # memory-bound chunk (the intensity sweep covers the end-to-end
+        # effect on the real suite graphs).
+        from repro.machine.costs import WorkCosts
+        from repro.runtime.base import LoopContext
 
         def chunk_time(faults):
-            chip = Chip(tiny_machine, 1, faults=faults)
-            core = chip.core_of(0)
-            core.begin()
-            dt = chip.execute(0.0, 0, compute=10.0, stall=0.0, volume=500.0)
-            core.finish()
-            return dt
+            work = WorkCosts(np.array([10.0]), np.array([0.0]),
+                             np.array([500.0]))
+            ctx = LoopContext(tiny_machine, 1, work, faults=faults)
+            return next(ctx.execute_chunk(0, 0, 1))
 
         healthy = chunk_time(None)
         plan = FaultPlan(specs=(
