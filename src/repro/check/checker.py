@@ -14,8 +14,8 @@ Shadow state:
   thread, with components keyed ``(loop_index, tid)`` so separate
   parallel regions never share epochs — cross-region ordering exists
   *only* through the region join (the edge the seeded-bug mode drops);
-* one clock per synchronisation object (atomic variables, ticket locks,
-  conditions), joined acquire/release style on every reservation;
+* one clock per synchronisation object (atomic variables, conditions),
+  joined acquire/release style on every reservation;
 * barrier trips join all arrivals all-to-all;
 * work-stealing deques are mirrored, so a stolen range hands the thief
   the victim's clock *at push time* — not the victim's current clock,
@@ -54,7 +54,7 @@ __all__ = ["Checker", "active", "install", "uninstall", "checking",
 #: Happens-before edge classes that ``drop_edges`` can remove (the
 #: seeded-bug mechanism; see module docstring).
 DROP_EDGE_KINDS = frozenset(
-    {"region-join", "barrier", "atomic", "lock", "steal", "cond"})
+    {"region-join", "barrier", "atomic", "steal", "cond"})
 
 #: Cap on emitted findings — aggregation keys findings per (array, loop
 #: pair), so this only trips on pathologically broken runs.
@@ -135,7 +135,6 @@ class _LoopState:
     objs: dict = field(default_factory=dict)     # id(sync obj) -> VectorClock
     shadow: dict = field(default_factory=dict)   # wid -> deque of snapshots
     chunks: list = field(default_factory=list)   # [_ChunkRecord]
-    holds: dict = field(default_factory=dict)    # tid -> [(label, start, done)]
     last_trip: tuple | None = None
     chunks_since_trip: int = 0
 
@@ -161,7 +160,6 @@ class Checker:
         self._carry: list = []           # prior chunks not ordered before now
         self._loop: _LoopState | None = None
         self._next_index = 0
-        self._lock_pairs: dict = {}      # (outer, inner) -> reported flag
         self._bound_flagged: set = set()
 
     # ----- region lifecycle -------------------------------------------------
@@ -283,56 +281,26 @@ class Checker:
 
     # ----- resource events --------------------------------------------------
 
-    def _acq_rel(self, obj, tid: int | None) -> None:
-        """Acquire/release edge through a serialised sync object."""
+    def on_rmw(self, var, tid: int | None) -> None:
+        """An atomic RMW completed (e.g. a chunk-counter fetch-and-add).
+
+        An acquire/release edge through the variable's clock.  Minting it
+        here orders the *dispatches* through the shared counter while
+        leaving the chunk *executions* concurrent — the execution epoch
+        is ticked after the fetch, so it never enters the counter's clock
+        until the thread's next fetch.
+        """
+        if "atomic" in self.drop_edges:
+            return
         st = self._loop
         vc = None if st is None else st.clocks.get(tid)
         if vc is None:
             return
         self.report.count("sync_ops")
-        o = st.objs.setdefault(id(obj), VectorClock())
+        o = st.objs.setdefault(id(var), VectorClock())
         vc.join(o)
-        st.objs[id(obj)] = vc.copy()
+        st.objs[id(var)] = vc.copy()
         vc.tick(st.comp(tid))
-
-    def on_rmw(self, var, tid: int | None) -> None:
-        """An atomic RMW completed (e.g. a chunk-counter fetch-and-add).
-
-        Minting an edge here orders the *dispatches* through the shared
-        counter while leaving the chunk *executions* concurrent — the
-        execution epoch is ticked after the fetch, so it never enters
-        the counter's clock until the thread's next fetch.
-        """
-        if "atomic" not in self.drop_edges:
-            self._acq_rel(var, tid)
-
-    def on_lock(self, lock, tid: int | None, start: float, done: float) -> None:
-        """A ticket-lock critical section ``[start, done)`` was reserved."""
-        st = self._loop
-        if st is None or tid not in st.clocks:
-            return
-        label = getattr(lock, "label", "lock")
-        held = st.holds.setdefault(tid, [])
-        for other, o_start, o_done in held:
-            if start < o_done and other != label:
-                self._order_pair(other, label, st.label)
-        held[:] = [h for h in held if h[2] > start]
-        held.append((label, start, done))
-        if "lock" not in self.drop_edges:
-            self._acq_rel(lock, tid)
-
-    def _order_pair(self, outer: str, inner: str, where: str) -> None:
-        """Record a nested acquisition order; report cycles once."""
-        if self._lock_pairs.setdefault((outer, inner), False):
-            return
-        if (inner, outer) in self._lock_pairs:
-            for key in ((outer, inner), (inner, outer)):
-                self._lock_pairs[key] = True
-            self.report.add(Finding(
-                kind="lock-order", severity=SEV_ERROR, where=(where,),
-                message=f"locks '{outer}' and '{inner}' are nested in "
-                        "opposite orders by different threads (deadlock "
-                        "potential)"))
 
     # ----- runtime events ---------------------------------------------------
 

@@ -44,12 +44,6 @@ class VectorClock:
             if epoch > mine.get(comp, 0):
                 mine[comp] = epoch
 
-    def dominates(self, other: "VectorClock") -> bool:
-        """True iff this clock is >= *other* on every component."""
-        mine = self.c
-        return all(mine.get(comp, 0) >= epoch
-                   for comp, epoch in other.c.items())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ",".join(f"{k}:{v}" for k, v in sorted(self.c.items()))
         return f"VC({inner})"

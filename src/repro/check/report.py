@@ -7,9 +7,9 @@ of a whole checked run.  Reports serialise to plain dicts (``repro check
 
 Severity model:
 
-* ``error`` — an unannotated data race, a benign-race bound violation,
-  or a lock-order cycle: the run's sharing discipline does not match its
-  declared synchronisation.  ``repro check`` exits non-zero.
+* ``error`` — an unannotated data race or a benign-race bound
+  violation: the run's sharing discipline does not match its declared
+  synchronisation.  ``repro check`` exits non-zero.
 * ``warning`` — suspicious but not provably wrong (an expected benign
   race that never materialised, a redundant double barrier).
 * ``info`` — diagnostic notes (killed threads observed, etc.).
@@ -34,8 +34,8 @@ class Finding:
     """One checker anomaly.
 
     ``kind`` is a stable machine-readable tag (``race``,
-    ``benign-bound``, ``benign-missing``, ``lock-order``,
-    ``double-barrier``); ``where`` names the loop(s) involved; ``cells``
+    ``benign-bound``, ``benign-missing``, ``double-barrier``);
+    ``where`` names the loop(s) involved; ``cells``
     carries a bounded sample of the conflicting array cells.
     """
 

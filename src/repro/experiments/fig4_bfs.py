@@ -29,7 +29,7 @@ from repro.graph.suite import suite_graph
 from repro.kernels.bfs.layered import simulate_bfs
 from repro.kernels.bfs.sequential import frontier_profile
 from repro.machine.config import KNF, MACHINES, MachineConfig
-from repro.models.bfs_model import bfs_model_speedup
+from repro.models.bfs_model import bfs_model_curve
 
 __all__ = ["BLOCK_SIZE", "bfs_cycles", "model_series", "run_fig4",
            "run_fig4_panel"]
@@ -72,7 +72,7 @@ def model_series(graphs: list[str], threads: list[int],
     per_graph = []
     for g in graphs:
         widths = np.asarray(_widths(g), dtype=np.float64)
-        raw = np.asarray([bfs_model_speedup(widths, t, block) for t in threads])
+        raw = bfs_model_curve(widths, threads, block)
         per_graph.append(raw / raw[0] if raw[0] > 0 else raw)
     stacked = np.stack(per_graph)
     return np.asarray([geomean(stacked[:, i]) for i in range(len(threads))])

@@ -22,7 +22,7 @@ from repro.kernels.bfs.direction_optimizing import bfs_direction_optimizing
 from repro.kernels.bfs.layered import simulate_bfs
 from repro.kernels.bfs.sequential import frontier_profile
 from repro.machine.config import KNF
-from repro.models.bfs_model import bfs_model_speedup
+from repro.models.bfs_model import bfs_model_curve
 
 __all__ = ["run_rmat_bfs", "rmat_direction_savings", "RMAT_SCALES"]
 
@@ -73,8 +73,7 @@ def run_rmat_bfs(scales=None, threads=None, block: int = 8) -> PanelResult:
     for s in scales:
         g = _rmat_graph(s)
         widths = frontier_profile(g, g.n_vertices // 2)
-        raw = np.asarray([bfs_model_speedup(widths, t, block)
-                          for t in threads])
+        raw = bfs_model_curve(widths, threads, block)
         model.append(raw / raw[0] if raw[0] > 0 else raw)
     stacked = np.stack(model)
     panel.series = {"Model": np.asarray(

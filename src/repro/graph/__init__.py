@@ -3,7 +3,6 @@ reordering."""
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
-    fem_mesh,
     tube_mesh,
     grid2d,
     erdos_renyi,
@@ -32,7 +31,6 @@ from repro.graph.properties import (
 
 __all__ = [
     "CSRGraph",
-    "fem_mesh",
     "tube_mesh",
     "grid2d",
     "erdos_renyi",

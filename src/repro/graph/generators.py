@@ -2,18 +2,18 @@
 
 The paper evaluates on seven finite-element / structural matrices from the
 UF Sparse Matrix Collection.  Those files are not available offline, so
-:func:`fem_mesh` generates structural analogs: overlapping element cliques
-laid out along a 1-D band, which reproduces the three properties the
-kernels are sensitive to —
+:func:`tube_mesh` generates the suite's structural analogs: an extruded
+mesh of overlapping cliques, section by section, which reproduces the
+three properties the kernels are sensitive to —
 
-* **degree distribution** (``elem_size`` controls clique size, hence greedy
-  colour count; ``elems_per_vertex`` controls average degree; ``hubs``
+* **degree distribution** (``clique`` and ``cliques_per_vertex`` control
+  the greedy colour count; ``coupling`` controls average degree; ``hubs``
   inject the matrices' few very-high-degree rows),
-* **bandedness** (``window`` controls how far an element reaches, i.e. the
-  natural-ordering locality that the machine cache model prices), and
-* **BFS depth** (the band width sets how far a frontier advances per level,
-  so ``window`` also fixes the level count — ``pwtk``'s 267 levels come
-  from a narrow window).
+* **bandedness** (vertices are numbered section by section, which gives
+  the natural-ordering locality that the machine cache model prices), and
+* **BFS depth** (a frontier advances one section per level, so
+  ``section`` fixes the level count — ``pwtk``'s 267 levels come from a
+  narrow section).
 
 All generators are vectorised and deterministic given a seed.
 
@@ -41,7 +41,6 @@ from repro.graph.csr import CSRGraph
 from repro.graphstore.builder import StreamingCSRBuilder
 
 __all__ = [
-    "fem_mesh",
     "tube_mesh",
     "grid2d",
     "erdos_renyi",
@@ -50,60 +49,6 @@ __all__ = [
     "star",
     "complete",
 ]
-
-
-def fem_mesh(
-    n: int,
-    elem_size: int,
-    elems_per_vertex: float,
-    window: int,
-    hubs: int = 0,
-    hub_degree: int = 0,
-    seed=0,
-    name: str = "fem_mesh",
-) -> CSRGraph:
-    """Banded finite-element-style graph.
-
-    ``n * elems_per_vertex / elem_size`` cliques of ``elem_size`` vertices
-    are placed along the vertex line; each element draws its members from a
-    ``window``-wide interval around its centre.  A backbone chain
-    ``0-1-...-n-1`` guarantees connectivity (and mirrors the diagonal band
-    every FEM matrix has).  ``hubs`` vertices additionally connect to
-    ``hub_degree`` vertices within three windows, mimicking the high-degree
-    rows (Δ up to 842 in ``inline_1``).
-    """
-    check_positive("n", n)
-    check_positive("elem_size", elem_size)
-    check_positive("elems_per_vertex", elems_per_vertex)
-    check_positive("window", window)
-    if elem_size > n:
-        raise ValueError(f"elem_size {elem_size} exceeds n {n}")
-    rng = rng_from_seed(seed)
-
-    n_elems = max(1, int(round(n * elems_per_vertex / elem_size)))
-    centers = np.linspace(0, n - 1, n_elems)
-    half = max(1, window // 2)
-    iu, iv = np.triu_indices(elem_size, k=1)
-    builder = StreamingCSRBuilder(n)
-    pairs_per_elem = max(1, len(iu))
-    elem_chunk = max(1, builder.block_edges // pairs_per_elem)
-    for e0 in range(0, n_elems, elem_chunk):
-        e1 = min(n_elems, e0 + elem_chunk)
-        offsets = rng.integers(-half, half + 1, size=(e1 - e0, elem_size))
-        members = np.clip(centers[e0:e1, None] + offsets,
-                          0, n - 1).astype(np.int64)
-        builder.add_edges(members[:, iu].ravel(), members[:, iv].ravel())
-
-    _emit_spine(builder, n)
-
-    if hubs > 0 and hub_degree > 0:
-        hub_ids = rng.choice(n, size=hubs, replace=False).astype(np.int64)
-        reach = max(2, 3 * half)
-        spokes = rng.integers(-reach, reach + 1, size=(hubs, hub_degree))
-        targets = np.clip(hub_ids[:, None] + spokes, 0, n - 1).astype(np.int64)
-        builder.add_edges(np.repeat(hub_ids, hub_degree), targets.ravel())
-
-    return builder.finalize(name=name)
 
 
 def _emit_spine(builder: StreamingCSRBuilder, n: int) -> None:

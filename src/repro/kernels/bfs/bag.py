@@ -42,11 +42,6 @@ class Pennant:
         self.root = root
         self.k = k
 
-    @property
-    def n_nodes(self) -> int:
-        """Node count: exactly ``2**k``."""
-        return 1 << self.k
-
     def union(self, other: "Pennant") -> "Pennant":
         """Combine two rank-k pennants into one rank-(k+1) pennant, O(1).
 

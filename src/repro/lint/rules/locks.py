@@ -1,12 +1,11 @@
 """Lock/barrier pairing rules for the time-reservation sync model.
 
-In this simulator a :class:`~repro.sim.resources.TicketLock` acquire
-*returns the release time* — the whole critical section is priced in
-one reservation.  Discarding that return value silently erases the
-section from simulated time: the code "acquired" a lock whose release
-never reaches the caller's clock, the time-reservation equivalent of an
-unpaired acquire/release.  The same holds for ``AtomicVar.rmw`` and
-``MemoryChannel.service``.
+In this simulator an :class:`~repro.sim.resources.AtomicVar` RMW
+*returns its completion time* — the whole serialised operation is
+priced in one reservation.  Discarding that return value silently
+erases the operation from simulated time: its completion never reaches
+the caller's clock, the time-reservation equivalent of an unpaired
+acquire/release.  The same holds for ``MemoryChannel.service``.
 
 Barrier arity is the second pairing hazard: a
 :class:`~repro.sim.engine.Barrier` built with a hard-coded party count
@@ -27,13 +26,12 @@ from repro.lint.registry import SIM_SCOPE, ModuleContext, rule
 __all__: list[str] = []
 
 #: Reservation methods whose return value carries the completion time.
-_RESERVATION_METHODS = {"acquire": "the release time",
-                        "rmw": "the completion time",
+_RESERVATION_METHODS = {"rmw": "the completion time",
                         "service": "the finish time"}
 
 
 @rule("lock-discarded-release", SEV_ERROR,
-      "discarding the return of acquire()/rmw()/service() drops the "
+      "discarding the return of rmw()/service() drops the "
       "reservation's completion time — an unpaired acquire in the "
       "time-reservation model",
       scope=SIM_SCOPE)

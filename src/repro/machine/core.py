@@ -65,14 +65,6 @@ class Chip:
         # Per-chunk constant of execute(), read once.
         self._issue_width = config.issue_width
 
-    def threads_per_core(self) -> int:
-        """Maximum SMT residency under scatter placement."""
-        return -(-self.n_threads // self.config.n_cores)
-
-    def cores_used(self) -> int:
-        """Number of distinct cores hosting at least one thread."""
-        return min(self.n_threads, self.config.n_cores)
-
     def execute(self, now: float, core: Core, compute: float, stall: float,
                 volume: float) -> float:
         """Duration of a chunk started at *now* on *core* (a member of

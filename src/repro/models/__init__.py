@@ -5,7 +5,6 @@ from repro.models.bfs_model import (
     bfs_model_level_cost,
     bfs_model_speedup,
     bfs_model_curve,
-    bfs_model_speedup_for_graph,
 )
 from repro.models.smt_model import smt_speedup, saturation_threads
 
@@ -13,7 +12,6 @@ __all__ = [
     "bfs_model_level_cost",
     "bfs_model_speedup",
     "bfs_model_curve",
-    "bfs_model_speedup_for_graph",
     "smt_speedup",
     "saturation_threads",
 ]

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-
-__all__ = ["bfs_model_level_cost", "bfs_model_speedup", "bfs_model_curve",
-           "bfs_model_speedup_for_graph"]
+__all__ = ["bfs_model_level_cost", "bfs_model_speedup", "bfs_model_curve"]
 
 
 def bfs_model_level_cost(widths, n_threads: int, block: int) -> np.ndarray:
@@ -51,14 +48,3 @@ def bfs_model_curve(widths, thread_counts, block: int) -> np.ndarray:
     """Model speedup at each thread count (the dashed line of Figure 4)."""
     return np.asarray([bfs_model_speedup(widths, t, block)
                        for t in thread_counts])
-
-
-def bfs_model_speedup_for_graph(graph: CSRGraph, n_threads: int,
-                                block: int = 32,
-                                source: int | None = None) -> float:
-    """Convenience wrapper: profile the graph's levels, then apply the model."""
-    from repro.kernels.bfs.sequential import frontier_profile
-
-    if source is None:
-        source = graph.n_vertices // 2
-    return bfs_model_speedup(frontier_profile(graph, source), n_threads, block)

@@ -4,7 +4,7 @@ Three pieces, all off by default and free when off:
 
 * :mod:`repro.obs.tracer` — a span/event tracer recorded by the engine
   (barrier waits, deadlocks, kills), the runtimes (chunk execution,
-  steals, TLS init) and the resources (atomic/lock/DRAM reservations);
+  steals, TLS init) and the resources (atomic and DRAM reservations);
   exports to Perfetto-loadable Chrome trace JSON.
 * :mod:`repro.obs.metrics` — a counter registry plus one
   :class:`~repro.obs.metrics.MetricsFrame` per parallel loop whose cycle

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["Counter", "MetricsRegistry", "MetricsFrame", "BREAKDOWN_FIELDS",
-           "active", "install", "uninstall", "collecting"]
+           "active", "install", "uninstall"]
 
 #: Cycle-breakdown components of a frame, in reporting order.  They sum
 #: to ``span * n_threads`` (see module docstring).
@@ -56,17 +56,6 @@ def uninstall() -> None:
     """Deactivate the active registry (no-op when none is installed)."""
     global _ACTIVE
     _ACTIVE = None
-
-
-@contextmanager
-def collecting(registry: "MetricsRegistry | None" = None):
-    """Context manager: install a (new by default) registry, yield it."""
-    registry = registry if registry is not None else MetricsRegistry()
-    install(registry)
-    try:
-        yield registry
-    finally:
-        uninstall()
 
 
 class Counter:

@@ -34,15 +34,12 @@ export time).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-__all__ = ["Tracer", "active", "install", "uninstall", "tracing",
-           "PID_THREADS", "PID_RESOURCES", "PID_ENGINE", "PROCESS_NAMES",
-           "SPAN_BUCKETS", "span_bucket"]
+__all__ = ["Tracer", "active", "install", "uninstall", "PID_THREADS",
+           "PID_RESOURCES", "PID_ENGINE", "PROCESS_NAMES", "SPAN_BUCKETS"]
 
 #: Process-group ids of the exported trace (one Perfetto process each).
 PID_THREADS = 1      # simulated software threads (chunks, waits, TLS, steals)
-PID_RESOURCES = 2    # serialised resources (atomics, locks, DRAM banks)
+PID_RESOURCES = 2    # serialised resources (atomics, DRAM banks)
 PID_ENGINE = 3       # region lifecycle, watchdog and deadlock events
 
 #: Human-readable names for the process groups (export metadata).
@@ -66,22 +63,8 @@ SPAN_BUCKETS = {
     "hang": "runtime:hang",
     "steal": "runtime:steal",
     "rmw": "resources:atomic",
-    "lock": "resources:atomic",
     "xfer": "resources:dram",
 }
-
-
-def span_bucket(name: str) -> str:
-    """The subsystem bucket of a recorded span label.
-
-    ``loop:<prefix>`` spans (one per parallel region) collapse to
-    ``runtime:loop``; unknown labels fall back to ``other:<name>`` so a
-    newly instrumented span is visible (and nameable) before it gets a
-    canonical bucket here.
-    """
-    if name.startswith("loop:"):
-        return "runtime:loop"
-    return SPAN_BUCKETS.get(name, f"other:{name}")
 
 
 #: The active tracer (None = tracing disabled; the common case).
@@ -112,17 +95,6 @@ def uninstall() -> None:
     """Deactivate the active tracer (no-op when none is installed)."""
     global _ACTIVE
     _ACTIVE = None
-
-
-@contextmanager
-def tracing(tracer: "Tracer | None" = None):
-    """Context manager: install a (new by default) tracer, yield it."""
-    tracer = tracer if tracer is not None else Tracer()
-    install(tracer)
-    try:
-        yield tracer
-    finally:
-        uninstall()
 
 
 class Tracer:

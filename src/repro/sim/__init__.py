@@ -4,7 +4,7 @@ from repro.sim.engine import (Engine, Barrier, Condition, Process,
                               SimulationError, SimulationTimeout,
                               DeadlockError, ThreadKilled)
 from repro.sim.faults import FaultKind, FaultSpec, FaultPlan, FaultInjector
-from repro.sim.resources import AtomicVar, TicketLock, MemoryChannel
+from repro.sim.resources import AtomicVar, MemoryChannel
 from repro.sim.stats import ChunkExec, LoopStats
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "AtomicVar",
-    "TicketLock",
     "MemoryChannel",
     "ChunkExec",
     "LoopStats",

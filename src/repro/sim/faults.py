@@ -133,11 +133,6 @@ class FaultPlan:
             if not isinstance(s, FaultSpec):
                 raise TypeError(f"specs must be FaultSpec, got {s!r}")
 
-    @property
-    def healthy(self) -> bool:
-        """True for the empty (no-fault) plan."""
-        return not self.specs
-
     def schedule(self) -> tuple[tuple[float, str, int, float, float], ...]:
         """The resolved fault schedule, sorted by start time.
 

@@ -1,4 +1,4 @@
-"""Time-reservation resources: atomics, locks and the memory channel.
+"""Time-reservation resources: atomics and the memory channel.
 
 These model FIFO-serialised hardware resources without engine-level
 blocking: a requester at simulated time ``now`` reserves the next free
@@ -9,8 +9,9 @@ count.
 
 This is how the simulation prices the phenomena the paper discusses:
 atomic fetch-and-add contention on shared queue/loop counters (§IV-A,
-§IV-C), per-vertex lock costs in the SNAP BFS (§IV-C), and DRAM bandwidth
-saturation (§V-B).
+§IV-C) and DRAM bandwidth saturation (§V-B).  Per-vertex lock costs in
+the SNAP BFS (§IV-C) are not a resource: the kernels charge
+``MachineConfig.lock_cycles`` in their work costs.
 
 Telemetry (:mod:`repro.obs`): every resource takes a ``label`` and, when
 a tracer is active at construction time, records each reservation as a
@@ -27,7 +28,7 @@ from repro.check import checker as _check
 from repro.obs import tracer as _obs_tracer
 from repro.obs.tracer import PID_RESOURCES
 
-__all__ = ["AtomicVar", "TicketLock", "MemoryChannel"]
+__all__ = ["AtomicVar", "MemoryChannel"]
 
 
 class AtomicVar:
@@ -66,47 +67,6 @@ class AtomicVar:
                              wait=start - now)
         if self._check is not None:
             self._check.on_rmw(self, tid)
-        return done
-
-
-class TicketLock:
-    """A lock with FIFO handoff; ``acquire`` covers a critical section.
-
-    The caller supplies the critical-section length (*hold* cycles); the
-    lock is occupied for ``latency + hold``.
-    """
-
-    def __init__(self, latency: float, label: str = "lock"):
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency}")
-        self.latency = latency
-        self.label = label
-        self._next_free = 0.0
-        self.acquisitions = 0
-        self.wait_cycles = 0.0
-        self._trace = _obs_tracer.active()
-        self._check = _check.active()
-
-    def acquire(self, now: float, hold: float = 0.0,
-                tid: int | None = None) -> float:
-        """Acquire at *now*, hold for *hold* cycles; returns release time.
-
-        ``tid`` identifies the acquiring simulated thread for the
-        concurrency checker (lockset membership and lock-order tracking);
-        it does not affect timing.
-        """
-        if hold < 0:
-            raise ValueError(f"hold must be >= 0, got {hold}")
-        start = max(now, self._next_free)
-        self.wait_cycles += start - now
-        done = start + self.latency + hold
-        self._next_free = done
-        self.acquisitions += 1
-        if self._trace is not None:
-            self._trace.span("lock", PID_RESOURCES, self.label, start, done,
-                             wait=start - now)
-        if self._check is not None:
-            self._check.on_lock(self, tid, start, done)
         return done
 
 

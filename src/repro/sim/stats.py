@@ -55,9 +55,3 @@ class LoopStats:
     def n_chunks(self) -> int:
         """Chunks executed during the loop."""
         return len(self.chunks)
-
-    def utilization(self, n_threads: int) -> float:
-        """Busy fraction of the thread-cycle budget (0 when span is 0)."""
-        if self.span <= 0 or n_threads <= 0:
-            return 0.0
-        return self.busy_cycles / (self.span * n_threads)

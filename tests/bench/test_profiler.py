@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.profiler import (OTHER_BUCKET, ProfileReport, WallProfiler,
                                   code_bucket)
-from repro.obs.tracer import SPAN_BUCKETS, span_bucket
+from repro.obs.tracer import SPAN_BUCKETS
 
 
 class TestCodeBucket:
@@ -29,7 +29,7 @@ class TestCodeBucket:
     def test_resources(self):
         assert code_bucket("src/repro/sim/resources.py", "service") \
             == SPAN_BUCKETS["xfer"]
-        assert code_bucket("src/repro/sim/resources.py", "acquire") \
+        assert code_bucket("src/repro/sim/resources.py", "rmw") \
             == SPAN_BUCKETS["rmw"]
 
     def test_module_table(self):
@@ -40,11 +40,6 @@ class TestCodeBucket:
 
     def test_foreign_code_inherits(self):
         assert code_bucket("/usr/lib/python3/heapq.py", "heappush") is None
-
-    def test_span_bucket_loop_prefix_and_fallback(self):
-        assert span_bucket("loop:omp") == "runtime:loop"
-        assert span_bucket("barrier-wait") == "engine:barrier-wait"
-        assert span_bucket("brand-new") == "other:brand-new"
 
 
 class TestProfileReport:

@@ -208,10 +208,10 @@ class TestStoreIntegration:
 
 class TestTelemetry:
     def test_cells_counted_by_status(self, tmp_path):
-        from repro.obs.metrics import collecting
+        from repro.obs import Observer
         store = ResultStore(tmp_path)
         spec_for = lambda k: {"cell": k}  # noqa: E731
-        with collecting() as registry:
+        with Observer(trace=False) as obs:
             def flaky(key):
                 if key == 2:
                     raise RuntimeError("boom")
@@ -220,7 +220,7 @@ class TestTelemetry:
                     labels_for=lambda k: {"graph": "g", "variant": "v",
                                           "threads": k})
             execute(runner, [1], jobs=1, store=store, spec_for=spec_for)
-        snap = registry.snapshot()
+        snap = obs.registry.snapshot()
         assert snap["campaign.cells{status=computed}"] == 1.0
         assert snap["campaign.cells{status=failed}"] == 1.0
         assert snap["campaign.cells{status=hit}"] == 1.0

@@ -18,7 +18,7 @@ from repro.campaign.spec import CellSpec
 from repro.experiments.harness import ordered_suite_graph
 from repro.graph.suite import suite_graph
 from repro.graphstore.registry import registry_from_env
-from repro.obs import metrics
+from repro.obs import Observer
 
 CELL = CellSpec(experiment="coloring", graph="pwtk",
                 variant="OpenMP-dynamic", threads=4,
@@ -48,16 +48,16 @@ def graph_env(tmp_path, monkeypatch):
 
 class TestWarmCampaign:
     def test_second_pass_is_all_mmap_hits(self, graph_env):
-        with metrics.collecting() as collected:
+        with Observer(trace=False) as obs:
             cold_value = run_cell(CELL)
-        cold = collected.snapshot()
+        cold = obs.registry.snapshot()
         assert cold.get("graphstore.misses") == 1
         assert "graphstore.hits" not in cold
 
         _fresh_pass()
-        with metrics.collecting() as collected:
+        with Observer(trace=False) as obs:
             warm_value = run_cell(CELL)
-        warm = collected.snapshot()
+        warm = obs.registry.snapshot()
         assert warm.get("graphstore.hits") == 1
         assert "graphstore.misses" not in warm
 
@@ -69,9 +69,9 @@ class TestWarmCampaign:
         monkeypatch.delenv("REPRO_GRAPH_DIR", raising=False)
         _fresh_pass()
         try:
-            with metrics.collecting() as collected:
+            with Observer(trace=False) as obs:
                 value = run_cell(CELL)
-            snapshot = collected.snapshot()
+            snapshot = obs.registry.snapshot()
             assert not any(k.startswith("graphstore.") for k in snapshot)
             assert value > 0
         finally:

@@ -212,44 +212,7 @@ def test_deterministic_across_runs():
     assert reports[0] == reports[1]
 
 
-# --- synthetic lock anomalies --------------------------------------------
-
-def _lock_scenario(order_ba: bool):
-    """Two threads nesting two TicketLocks; opposite order iff order_ba."""
-    from repro.sim.engine import Engine
-    from repro.sim.resources import TicketLock
-
-    engine = Engine()
-    chk = check.active()
-    chk.begin_loop("lock-test", 2, None)
-    la = TicketLock(2.0, label="lock-a")
-    lb = TicketLock(2.0, label="lock-b")
-
-    def thread(tid, first, second):
-        done = first.acquire(engine.now, hold=20.0, tid=tid)
-        inner_done = second.acquire(engine.now + 5.0, hold=5.0, tid=tid)
-        yield max(done, inner_done) - engine.now
-
-    engine.spawn(thread(0, la, lb), tid=0)
-    engine.spawn(thread(1, lb if order_ba else la, la if order_ba else lb),
-                 tid=1)
-    engine.run()
-    chk.end_loop()
-
-
-def test_lock_order_cycle_detected():
-    with check.checking() as c:
-        _lock_scenario(order_ba=True)
-    report = c.finalize()
-    assert any(f.kind == "lock-order" for f in report.errors)
-
-
-def test_consistent_lock_order_clean():
-    with check.checking() as c:
-        _lock_scenario(order_ba=False)
-    report = c.finalize()
-    assert not any(f.kind == "lock-order" for f in report.findings)
-
+# --- synthetic barrier anomalies ------------------------------------------
 
 def test_double_barrier_warns():
     from repro.sim.engine import Barrier, Engine

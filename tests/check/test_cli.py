@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.check.checker import DROP_EDGE_KINDS
 from repro.check.cli import main as check_main
 from repro.experiments.cli import main as top_main
 
@@ -25,6 +26,19 @@ def test_seeded_bug_exits_nonzero():
                      "--graph", "er120", "--seed-bug", "drop-region-join",
                      "-q"])
     assert rc == 1
+
+
+#: ``--seed-bug`` exit status per dropped edge class on er120, all kernels
+#: and runtimes: only a missing region join surfaces a race.  The other
+#: classes leave the report unchanged or only raise benign-race tallies.
+SEEDED_EXIT = {"region-join": 1, "barrier": 0, "atomic": 0, "steal": 0,
+               "cond": 0}
+
+
+@pytest.mark.parametrize("kind", sorted(DROP_EDGE_KINDS))
+def test_seed_bug_exit_status(kind):
+    assert check_main(["--graph", "er120", "--seed-bug", f"drop-{kind}",
+                       "-q"]) == SEEDED_EXIT[kind]
 
 
 def test_seeded_bug_bfs_exits_nonzero():
@@ -66,8 +80,9 @@ def test_all_runtimes_clean_on_tiny_graph(runtime):
 
 
 def test_unknown_seed_bug_rejected():
-    with pytest.raises(SystemExit):
-        check_main(["--kernel", "coloring", "--seed-bug", "drop-everything"])
+    for kind in ("drop-everything", "drop-lock"):
+        with pytest.raises(SystemExit):
+            check_main(["--kernel", "coloring", "--seed-bug", kind])
 
 
 def test_human_readable_report_mentions_benign(capsys):

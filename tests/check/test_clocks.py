@@ -37,17 +37,6 @@ def test_join_takes_componentwise_max():
     assert a.get(2) == 1
 
 
-def test_dominates():
-    a, b = VectorClock(), VectorClock()
-    a.tick(1)
-    a.tick(2)
-    b.tick(1)
-    assert a.dominates(b)
-    assert not b.dominates(a)
-    b.tick(3)
-    assert not a.dominates(b)
-
-
 def test_tuple_components_do_not_collide():
     # Separate loops use (loop, tid) components: epoch 1 of (0, 2) must
     # never order against epoch 1 of (1, 2).

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from repro.graph.generators import (chain, complete, erdos_renyi, fem_mesh,
-                                    grid2d, rmat, star, tube_mesh)
+from repro.graph.generators import (chain, complete, erdos_renyi, grid2d,
+                                    rmat, star, tube_mesh)
 
 
 def n_components(g):
@@ -88,26 +88,6 @@ class TestRandomGenerators:
             rmat(4, a=0.6, b=0.3, c=0.3)
 
 
-class TestFemMesh:
-    def test_deterministic(self):
-        a = fem_mesh(500, 8, 2.0, 40, seed=9)
-        b = fem_mesh(500, 8, 2.0, 40, seed=9)
-        assert a.structurally_equal(b)
-
-    def test_connected_via_spine(self):
-        g = fem_mesh(400, 6, 1.5, 30, seed=2)
-        assert n_components(g) == 1
-
-    def test_hubs_raise_max_degree(self):
-        base = fem_mesh(400, 6, 1.5, 30, seed=2)
-        hubbed = fem_mesh(400, 6, 1.5, 30, hubs=2, hub_degree=60, seed=2)
-        assert hubbed.max_degree > base.max_degree + 20
-
-    def test_elem_size_larger_than_n_rejected(self):
-        with pytest.raises(ValueError):
-            fem_mesh(4, 10, 1.0, 5)
-
-
 class TestTubeMesh:
     def test_deterministic(self):
         a = tube_mesh(600, 30, 8, 1.0, 3, seed=7)
@@ -117,6 +97,11 @@ class TestTubeMesh:
     def test_connected(self):
         g = tube_mesh(600, 30, 8, 1.0, 3, seed=7)
         assert n_components(g) == 1
+
+    def test_hubs_raise_max_degree(self):
+        base = tube_mesh(600, 30, 8, 1.0, 3, seed=7)
+        hubbed = tube_mesh(600, 30, 8, 1.0, 3, hubs=2, hub_degree=60, seed=7)
+        assert hubbed.max_degree > base.max_degree + 20
 
     def test_section_controls_bfs_depth(self):
         """Narrower sections -> deeper BFS (the pwtk mechanism)."""

@@ -22,7 +22,7 @@ import pytest
 
 from repro.graph import csr
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import erdos_renyi, fem_mesh, rmat, tube_mesh
+from repro.graph.generators import erdos_renyi, rmat, tube_mesh
 
 TUBE_PARAMS = dict(section=30, clique=8, cliques_per_vertex=1.0,
                    coupling=3, hubs=4, hub_degree=12, seed=3)
@@ -54,16 +54,6 @@ class TestBlockSizeParity:
         chunked = erdos_renyi(1500, 6000, seed=5)
         monkeypatch.setattr(csr, "BLOCK_ENTRIES", 1 << 24)
         one_shot = erdos_renyi(1500, 6000, seed=5)
-        assert _hash(chunked) == _hash(one_shot)
-
-    @pytest.mark.parametrize("block", [1024, 1 << 20])
-    def test_fem_mesh(self, block, monkeypatch):
-        monkeypatch.setattr(csr, "BLOCK_ENTRIES", block)
-        chunked = fem_mesh(800, elem_size=6, elems_per_vertex=1.5,
-                           window=40, hubs=3, hub_degree=20, seed=2)
-        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 1 << 24)
-        one_shot = fem_mesh(800, elem_size=6, elems_per_vertex=1.5,
-                            window=40, hubs=3, hub_degree=20, seed=2)
         assert _hash(chunked) == _hash(one_shot)
 
     @pytest.mark.parametrize("block", [2048, 1 << 20])

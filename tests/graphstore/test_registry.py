@@ -187,11 +187,11 @@ class TestEnvActivation:
             suite_graph.cache_clear()
 
     def test_obs_counters(self, tmp_path):
-        from repro.obs import metrics
+        from repro.obs import Observer
         registry = GraphRegistry(str(tmp_path))
-        with metrics.collecting() as collected:
+        with Observer(trace=False) as obs:
             registry.get("tube:2k")
             registry.get("tube:2k")
-        snapshot = collected.snapshot()
+        snapshot = obs.registry.snapshot()
         assert snapshot.get("graphstore.misses") == 1
         assert snapshot.get("graphstore.hits") == 1

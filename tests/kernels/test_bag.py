@@ -13,7 +13,6 @@ class TestPennant:
         b = Pennant(PennantNode([2]), 0)
         c = a.union(b)
         assert c.k == 1
-        assert c.n_nodes == 2
         assert sorted(c) == [1, 2]
 
     def test_union_rank_mismatch(self):

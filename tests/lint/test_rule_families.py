@@ -227,8 +227,8 @@ def test_fp_write_inference_skips_modules_without_access_sets(run_lint):
 
 def test_lock_discarded_release_fires(run_lint):
     result = run_lint({"repro/sim/crit.py": """\
-        def section(lock, now):
-            lock.acquire(now, 5.0)
+        def section(counter, now):
+            counter.rmw(now)
             return now
         """})
     assert "lock-discarded-release" in rules_fired(result)
@@ -236,9 +236,9 @@ def test_lock_discarded_release_fires(run_lint):
 
 def test_lock_used_release_is_clean(run_lint):
     result = run_lint({"repro/sim/crit.py": """\
-        def section(lock, now):
-            release = lock.acquire(now, 5.0)
-            return release
+        def section(counter, now):
+            done = counter.rmw(now)
+            return done
         """})
     assert "lock-discarded-release" not in rules_fired(result)
 

@@ -15,7 +15,7 @@ from repro.graph.reorder import apply_ordering
 from repro.machine import cache
 from repro.machine.cache import access_profile, access_profile_cached
 from repro.machine.config import HOST_XEON, KNF
-from repro.obs.metrics import MetricsRegistry, collecting
+from repro.obs import Observer
 from tests.machine.test_cache import assert_profile_is_oracle, profile_cases
 
 
@@ -87,12 +87,11 @@ def test_hit_split_computed_only_when_observed():
     try:
         quiet = access_profile_cached(graph, KNF, 31, 4, 0.05)
         assert "_split" not in vars(quiet)
-        registry = MetricsRegistry()
-        with collecting(registry):
+        with Observer(trace=False) as obs:
             observed = access_profile_cached(graph, KNF, 31, 4, 0.05)
         assert observed is quiet
         assert "_split" in vars(observed)
-        assert registry.counter("cache.sweeps").value == 1
+        assert obs.registry.counter("cache.sweeps").value == 1
     finally:
         cache._access_profile_lru.cache_clear()
     fresh = access_profile(graph, KNF, 31, 4, 0.05)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import chain, tube_mesh
+from repro.kernels.bfs.sequential import frontier_profile
 from repro.models.bfs_model import (bfs_model_curve, bfs_model_level_cost,
-                                    bfs_model_speedup,
-                                    bfs_model_speedup_for_graph)
+                                    bfs_model_speedup)
 
 
 class TestLevelCost:
@@ -72,17 +72,12 @@ class TestSpeedup:
     def test_zero_widths(self):
         assert bfs_model_speedup([], 4, 32) == 0.0
 
-    def test_for_graph_wrapper(self):
-        g = tube_mesh(1000, 50, 8, 1.0, 3, seed=1)
-        s = bfs_model_speedup_for_graph(g, 8, block=8)
-        assert 0 < s <= 8
-
     def test_deep_graph_lower_model_ceiling(self):
         """pwtk vs inline_1 mechanism: deeper tube -> lower model peak."""
         deep = tube_mesh(2000, 20, 6, 1.0, 3, seed=1)
         shallow = tube_mesh(2000, 200, 6, 1.0, 3, seed=1)
-        s_deep = bfs_model_speedup_for_graph(deep, 31, block=8)
-        s_shallow = bfs_model_speedup_for_graph(shallow, 31, block=8)
+        s_deep = bfs_model_speedup(frontier_profile(deep, 1000), 31, 8)
+        s_shallow = bfs_model_speedup(frontier_profile(shallow, 1000), 31, 8)
         assert s_shallow > 1.5 * s_deep
 
 

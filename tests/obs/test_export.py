@@ -9,7 +9,7 @@ from repro.machine.costs import WorkCosts
 from repro.obs import (Observer, chrome_trace_events, load_metrics_jsonl,
                        write_chrome_trace, write_metrics_jsonl)
 from repro.obs.metrics import MetricsFrame
-from repro.obs.tracer import PID_THREADS, Tracer, tracing
+from repro.obs.tracer import PID_THREADS, Tracer
 from repro.runtime.base import ProgrammingModel, RuntimeSpec
 
 
@@ -39,14 +39,14 @@ def assert_schema_valid(events):
 
 class TestChromeTrace:
     def test_schema_valid(self, tiny_machine):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             run_loop(tiny_machine)
-        assert_schema_valid(chrome_trace_events(t))
+        assert_schema_valid(chrome_trace_events(obs.tracer))
 
     def test_metadata_names_tracks(self, tiny_machine):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             run_loop(tiny_machine)
-        events = chrome_trace_events(t)
+        events = chrome_trace_events(obs.tracer)
         names = [e for e in events if e["ph"] == "M"]
         assert {"sim-threads", "resources", "engine"} <= \
             {e["args"]["name"] for e in names if e["name"] == "process_name"}
@@ -66,10 +66,10 @@ class TestChromeTrace:
         assert all(e["ts"] == 9.0 for e in closers)
 
     def test_file_loads_as_json(self, tiny_machine, tmp_path):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             run_loop(tiny_machine)
         path = tmp_path / "trace.json"
-        write_chrome_trace(t, path)
+        write_chrome_trace(obs.tracer, path)
         data = json.loads(path.read_text())
         assert "traceEvents" in data
         assert_schema_valid(data["traceEvents"])
@@ -78,10 +78,10 @@ class TestChromeTrace:
     def test_byte_stable_across_runs(self, tiny_machine, tmp_path):
         paths = []
         for i in range(2):
-            with tracing() as t:
+            with Observer(metrics=False) as obs:
                 run_loop(tiny_machine)
             p = tmp_path / f"trace{i}.json"
-            write_chrome_trace(t, p)
+            write_chrome_trace(obs.tracer, p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 

@@ -5,8 +5,7 @@ import pytest
 
 from repro.machine.costs import WorkCosts
 from repro.obs import Observer
-from repro.obs.metrics import (BREAKDOWN_FIELDS, MetricsFrame,
-                               MetricsRegistry, collecting)
+from repro.obs.metrics import BREAKDOWN_FIELDS, MetricsFrame, MetricsRegistry
 from repro.runtime.base import (Partitioner, ProgrammingModel, RuntimeSpec,
                                 Schedule)
 
@@ -58,10 +57,10 @@ class TestCounters:
 class TestFrames:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_frame_matches_loop_stats(self, tiny_machine, spec):
-        with collecting() as reg:
+        with Observer(trace=False) as obs:
             stats = run_loop(tiny_machine, spec)
-        assert len(reg.frames) == 1
-        f = reg.frames[0]
+        assert len(obs.registry.frames) == 1
+        f = obs.registry.frames[0]
         assert f.span == stats.span
         assert f.busy_cycles == stats.busy_cycles
         assert f.sched_cycles == stats.sched_cycles
@@ -76,9 +75,9 @@ class TestFrames:
     def test_breakdown_accounts_for_budget(self, tiny_machine, spec):
         """busy + sched + atomic-wait + tls + hang + idle == span * threads
         within 1% — the acceptance invariant of the telemetry layer."""
-        with collecting() as reg:
+        with Observer(trace=False) as obs:
             run_loop(tiny_machine, spec)
-        f = reg.frames[0]
+        f = obs.registry.frames[0]
         total = sum(f.breakdown().values())
         assert total == pytest.approx(f.thread_budget, rel=0.01)
         # and the *measured* part never exceeds the budget
@@ -89,9 +88,9 @@ class TestFrames:
         work = WorkCosts(np.full(60, 50.0), np.full(60, 10.0),
                          np.full(60, 2.0))
         spec = RuntimeSpec(ProgrammingModel.OPENMP, chunk=10)
-        with collecting() as reg:
+        with Observer(trace=False) as obs:
             spec.parallel_for(tiny_machine, 4, work)
-        f = reg.frames[0]
+        f = obs.registry.frames[0]
         ch = f.channel
         assert ch["transfers"] > 0
         assert 0.0 < ch["saturation"] <= 1.0
@@ -100,9 +99,9 @@ class TestFrames:
 
     def test_counters_attached_to_frame(self, tiny_machine):
         spec = RuntimeSpec(ProgrammingModel.OPENMP, chunk=10)
-        with collecting() as reg:
+        with Observer(trace=False) as obs:
             stats = run_loop(tiny_machine, spec)
-        counters = reg.frames[0].counters
+        counters = obs.registry.frames[0].counters
         assert counters["atomic.ops{var=omp-chunk-counter}"] \
             == stats.atomic_operations
         assert counters["atomic.wait_cycles{var=omp-chunk-counter}"] \
@@ -110,9 +109,9 @@ class TestFrames:
 
     def test_steal_counters_by_victim(self, tiny_machine):
         spec = RuntimeSpec(ProgrammingModel.CILK, chunk=10)
-        with collecting() as reg:
+        with Observer(trace=False) as obs:
             stats = run_loop(tiny_machine, spec)
-        steal_total = sum(v for k, v in reg.frames[0].counters.items()
+        steal_total = sum(v for k, v in obs.registry.frames[0].counters.items()
                           if k.startswith("steals{"))
         assert steal_total == stats.steals
 
@@ -140,18 +139,18 @@ class TestKernelFrames:
     def test_coloring_emits_labeled_frames(self, mesh, tiny_machine):
         from repro.kernels.coloring.parallel import parallel_coloring
         spec = RuntimeSpec(ProgrammingModel.OPENMP, chunk=10)
-        with collecting() as reg:
-            with reg.cell(graph="mesh", variant="omp", threads=4):
+        with Observer(trace=False) as obs:
+            with obs.registry.cell(graph="mesh", variant="omp", threads=4):
                 run = parallel_coloring(mesh, 4, spec,
                                         config=tiny_machine)
-        assert len(reg.frames) == len(run.loop_stats)
+        assert len(obs.registry.frames) == len(run.loop_stats)
         assert all(f.cell == {"graph": "mesh", "variant": "omp",
-                              "threads": 4} for f in reg.frames)
-        assert sum(f.span for f in reg.frames) \
+                              "threads": 4} for f in obs.registry.frames)
+        assert sum(f.span for f in obs.registry.frames) \
             == pytest.approx(run.total_cycles)
         # cache-tier counters recorded on every profile use
         totals = {}
-        for f in reg.frames:
+        for f in obs.registry.frames:
             for k, v in f.counters.items():
                 totals[k] = totals.get(k, 0.0) + v
         assert any(k.startswith("cache.accesses") for k in totals)

@@ -6,7 +6,7 @@ import pytest
 from repro.machine.costs import WorkCosts
 from repro.obs import Observer, tracer as obs_tracer
 from repro.obs.tracer import (PID_ENGINE, PID_THREADS, Tracer, active,
-                              install, tracing, uninstall)
+                              install, uninstall)
 from repro.runtime.base import ProgrammingModel, RuntimeSpec, Schedule
 
 
@@ -30,7 +30,7 @@ class TestActivation:
         assert active() is None
 
     def test_double_install_rejected(self):
-        with tracing():
+        with Observer(metrics=False):
             with pytest.raises(RuntimeError, match="already installed"):
                 install(Tracer())
 
@@ -71,30 +71,30 @@ class TestRecording:
 
 class TestInstrumentedRuns:
     def test_loop_records_chunk_spans(self, tiny_machine):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             stats = run_loop(tiny_machine)
-        chunks = [e for e in t.events
+        chunks = [e for e in obs.tracer.events
                   if e["name"] == "chunk" and e["ph"] == "B"]
         assert len(chunks) == stats.n_chunks
-        assert any(e["name"].startswith("loop:") for e in t.events)
-        assert any(e["name"] == "barrier-wait" for e in t.events)
-        assert any(e["name"] == "tls-init" for e in t.events)
+        assert any(e["name"].startswith("loop:") for e in obs.tracer.events)
+        assert any(e["name"] == "barrier-wait" for e in obs.tracer.events)
+        assert any(e["name"] == "tls-init" for e in obs.tracer.events)
 
     def test_resource_spans_recorded(self, tiny_machine):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             run_loop(tiny_machine)
-        rmw = [e for e in t.events if e["name"] == "rmw"]
+        rmw = [e for e in obs.tracer.events if e["name"] == "rmw"]
         assert rmw and all(e["tid"] == "omp-chunk-counter" for e in rmw)
 
     def test_steal_instants(self, tiny_machine):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             stats = run_loop(tiny_machine, model=ProgrammingModel.CILK)
-        steals = [e for e in t.events if e["name"] == "steal"]
+        steals = [e for e in obs.tracer.events if e["name"] == "steal"]
         assert len(steals) == stats.steals
 
     def test_tracing_does_not_change_timing(self, tiny_machine):
         bare = run_loop(tiny_machine)
-        with tracing():
+        with Observer(metrics=False):
             traced = run_loop(tiny_machine)
         with Observer():
             observed = run_loop(tiny_machine)
@@ -105,18 +105,18 @@ class TestInstrumentedRuns:
             == [(c.lo, c.hi, c.thread, c.start, c.end) for c in bare.chunks]
 
     def test_deterministic_byte_stable(self, tiny_machine):
-        with tracing() as t1:
+        with Observer(metrics=False) as obs1:
             run_loop(tiny_machine, model=ProgrammingModel.TBB)
-        with tracing() as t2:
+        with Observer(metrics=False) as obs2:
             run_loop(tiny_machine, model=ProgrammingModel.TBB)
-        assert t1.events == t2.events
+        assert obs1.tracer.events == obs2.tracer.events
 
     def test_multi_loop_offset_advances(self, tiny_machine):
-        with tracing() as t:
+        with Observer(metrics=False) as obs:
             s1 = run_loop(tiny_machine)
             s2 = run_loop(tiny_machine)
-        assert t.offset == pytest.approx(s1.span + s2.span)
-        loop_begins = [e for e in t.events
+        assert obs.tracer.offset == pytest.approx(s1.span + s2.span)
+        loop_begins = [e for e in obs.tracer.events
                        if e["name"].startswith("loop:") and e["ph"] == "B"]
         assert loop_begins[1]["ts"] == pytest.approx(s1.span)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.resources import AtomicVar, MemoryChannel, TicketLock
+from repro.sim.resources import AtomicVar, MemoryChannel
 
 
 class TestAtomicVar:
@@ -38,17 +38,6 @@ class TestAtomicVar:
             assert done >= t + latency
             assert done >= last + latency - 1e-9
             last = done
-
-
-class TestTicketLock:
-    def test_hold_time(self):
-        lock = TicketLock(5.0)
-        assert lock.acquire(0.0, hold=20.0) == 25.0
-        assert lock.acquire(0.0, hold=0.0) == 30.0
-
-    def test_negative_hold_rejected(self):
-        with pytest.raises(ValueError):
-            TicketLock(1.0).acquire(0.0, hold=-1.0)
 
 
 class TestMemoryChannel:

@@ -1,7 +1,5 @@
 """LoopStats / ChunkExec accounting."""
 
-import pytest
-
 from repro.sim.stats import ChunkExec, LoopStats
 
 
@@ -13,14 +11,6 @@ class TestChunkExec:
 
 
 class TestLoopStats:
-    def test_utilization(self):
-        s = LoopStats(span=100.0, busy_cycles=300.0)
-        assert s.utilization(4) == pytest.approx(0.75)
-
-    def test_utilization_degenerate(self):
-        assert LoopStats().utilization(4) == 0.0
-        assert LoopStats(span=10.0).utilization(0) == 0.0
-
     def test_n_chunks(self):
         s = LoopStats()
         s.chunks.append(ChunkExec(0, 5, 0, 0.0, 1.0))

@@ -6,10 +6,11 @@ import pytest
 import repro
 from repro.graph import apply_ordering, graph_properties, tube_mesh
 from repro.kernels.bfs import simulate_bfs
+from repro.kernels.bfs.sequential import frontier_profile
 from repro.kernels.coloring.parallel import parallel_coloring
 from repro.kernels.irregular import simulate_irregular
 from repro.machine.config import HOST_XEON, KNF
-from repro.models import bfs_model_speedup_for_graph
+from repro.models import bfs_model_speedup
 from repro.runtime import (Partitioner, ProgrammingModel, RuntimeSpec,
                            Schedule, TlsMode)
 
@@ -68,7 +69,8 @@ class TestCrossMachine:
 class TestBfsPipeline:
     def test_all_variants_agree_and_model_bounds(self, g):
         ref = repro.bfs_sequential(g, g.n_vertices // 2)
-        model31 = bfs_model_speedup_for_graph(g, 31, block=8)
+        widths = frontier_profile(g, g.n_vertices // 2)
+        model31 = bfs_model_speedup(widths, 31, 8)
         t1 = simulate_bfs(g, 1, block=8, config=KNF,
                           cache_scale=0.05).total_cycles
         for variant in ("openmp-block", "tbb-block", "openmp-tls", "cilk-bag"):
@@ -84,7 +86,7 @@ class TestBfsPipeline:
     def test_properties_feed_model(self, g):
         props = graph_properties(g)
         assert props.n_bfs_levels > 10
-        s = bfs_model_speedup_for_graph(g, 121, block=8)
+        s = bfs_model_speedup(frontier_profile(g, g.n_vertices // 2), 121, 8)
         width = g.n_vertices / props.n_bfs_levels
         assert s <= width / 8 + 1.5  # capped by blocks per level
 
