@@ -33,11 +33,15 @@ from typing import Callable
 
 from repro._util import atomic_write_text
 from repro.bench.timer import WALL, Clock
+from repro.obs.tracer import SPAN_BUCKETS
 
 __all__ = ["WallProfiler", "ProfileReport", "code_bucket", "OTHER_BUCKET"]
 
 #: Catch-all bucket for time outside any mapped subsystem frame.
 OTHER_BUCKET = "other:python"
+
+#: The engine's own bucket (its instants, e.g. a watchdog timeout).
+_ENGINE_EVENTS = SPAN_BUCKETS["watchdog-timeout"]
 
 #: ``path fragment -> bucket`` for modules that map wholesale.  Checked
 #: after the function-sensitive rules below; first match wins, ordered
@@ -52,8 +56,8 @@ _MODULE_BUCKETS = (
     ("repro/graph/", "graph:build"),
     ("repro/obs/", "obs:telemetry"),
     ("repro/check/", "check:telemetry"),
-    ("repro/sim/faults", "engine:events"),
-    ("repro/sim/", "engine:events"),
+    ("repro/sim/faults", _ENGINE_EVENTS),
+    ("repro/sim/", _ENGINE_EVENTS),
     ("repro/campaign/", "campaign:executor"),
     ("repro/experiments/", "harness:sweep"),
     ("repro/bench/", "harness:sweep"),
@@ -80,22 +84,22 @@ def code_bucket(filename: str, funcname: str) -> str | None:
     fn = funcname.lower()
     if path.startswith("repro/sim/engine"):
         if "barrier" in fn or "release" in fn:
-            return "engine:barrier-wait"
+            return SPAN_BUCKETS["barrier-wait"]
         if "cond" in fn or "fire" in fn or "block" in fn:
-            return "engine:cond-wait"
-        return "engine:events"
+            return SPAN_BUCKETS["cond-wait"]
+        return _ENGINE_EVENTS
     if path.startswith("repro/sim/resources"):
         if "service" in fn or "bank" in fn or "channel" in fn:
-            return "resources:dram"
-        return "resources:atomic"
+            return SPAN_BUCKETS["xfer"]
+        return SPAN_BUCKETS["rmw"]
     if path.startswith("repro/runtime/"):
         if "tls" in fn:
-            return "runtime:tls"
+            return SPAN_BUCKETS["tls-init"]
         if "steal" in fn or "deque" in fn:
-            return "runtime:steal"
+            return SPAN_BUCKETS["steal"]
         if "chunk" in fn:
-            return "runtime:chunk"
-        return "runtime:loop"
+            return SPAN_BUCKETS["chunk"]
+        return SPAN_BUCKETS["loop"]
     for fragment, bucket in _MODULE_BUCKETS:
         if path.startswith(fragment):
             return bucket

@@ -7,10 +7,12 @@ algorithm (§V-B: parallel colour counts stay within 5 %).
 
 Two interchangeable inner loops:
 
-* a *bitset* path (colours ≤ 63): each vertex's colour is also kept as
-  a bit (colour 0, "not yet coloured", has none), so a vertex costs one
-  gather of its neighbours' bits and one ``bitwise_or`` reduction; the
-  smallest missing colour is the lowest zero bit,
+* a *bitset* path (colours ≤ 63): colour ``c`` is bit ``c - 1``
+  (colour 0, "not yet coloured", has none), so a vertex costs one gather
+  of its neighbours' bits and one ``bitwise_or`` reduction; the smallest
+  missing colour is the lowest zero bit.  A whole-graph pass keeps every
+  vertex's bit in step with its colour; a re-fit of given rows looks the
+  bits up from the neighbours' colours and reads nothing else,
 * a *stamp* path (the textbook ``forbiddenColors`` array stamped with the
   current vertex, exactly Algorithm 1), used for high colour counts and as
   a cross-check in tests.
@@ -24,6 +26,7 @@ baselines, Table I) reads that copy.
 from __future__ import annotations
 
 import weakref
+from itertools import islice
 
 import numpy as np
 
@@ -67,21 +70,34 @@ def greedy_coloring(graph: CSRGraph, order: np.ndarray | None = None,
         colors = np.zeros(n, dtype=np.int64)
     elif len(colors) != n:
         raise ValueError(f"colors has length {len(colors)}, expected {n}")
-    ip = indptr.tolist()
-    order = range(n) if order is None else np.asarray(order).tolist()
     maxcolor = int(colors.max()) if n else 0
-    # Each vertex's colour bit, kept in step with colors while the
-    # bitset path runs (colour 0 has no bit).
-    color_bits = _COLOR_BIT[colors] if maxcolor <= _BITSET_LIMIT else None
+    if order is None:
+        ip = indptr.tolist()
+        rows = zip(range(n), ip, islice(ip, 1, None))
+        # Each vertex's colour bit, kept in step with colors while the
+        # bitset path runs (colour 0 has no bit).
+        color_bits = _COLOR_BIT[colors] if maxcolor <= _BITSET_LIMIT else None
+    else:
+        # A re-fit of a few rows (the parallel algorithm's avoided
+        # clashes): read only their bounds, and the neighbours' bits from
+        # their colours, so the cost does not grow with the graph.
+        verts = np.asarray(order, dtype=np.int64)
+        rows = zip(verts.tolist(), indptr[verts].tolist(),
+                   indptr[verts + 1].tolist())
+        color_bits = None
     bitwise_or = np.bitwise_or.reduce
-    for v in order:
-        nbr = indices[ip[v]:ip[v + 1]]
+    for v, lo, hi in rows:
+        nbr = indices[lo:hi]
         if maxcolor <= _BITSET_LIMIT:
-            mask = int(bitwise_or(color_bits.take(nbr)))
+            if color_bits is None:
+                mask = int(bitwise_or(_COLOR_BIT.take(colors.take(nbr))))
+            else:
+                mask = int(bitwise_or(color_bits.take(nbr)))
             # lowest zero bit of mask -> smallest permissible colour
             low = ~mask & (mask + 1)
             c = low.bit_length()
-            color_bits[v] = low
+            if color_bits is not None:
+                color_bits[v] = low
         else:
             nc = colors[nbr]
             nc = nc[nc > 0]

@@ -71,9 +71,9 @@ class Chip:
         :attr:`thread_cores`).
 
         The caller counts the chunk in ``core.busy`` for as long as it
-        runs; occupancy is read from the core.
+        runs, so the occupancy read from the core is at least 1.
         """
-        k = max(1, core.busy)
+        k = core.busy
         iw = self._issue_width
         jitter = 1.0
         faults = self.faults

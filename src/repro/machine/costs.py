@@ -63,9 +63,9 @@ class WorkCosts:
     compute: np.ndarray
     stall: np.ndarray
     volume: np.ndarray
-    _pc: np.ndarray = None
-    _ps: np.ndarray = None
-    _pv: np.ndarray = None
+    _pc: memoryview = None
+    _ps: memoryview = None
+    _pv: memoryview = None
 
     def __post_init__(self):
         for name, arr in (("compute", self.compute), ("stall", self.stall),
@@ -76,22 +76,29 @@ class WorkCosts:
             if len(arr) and (not np.isfinite(arr).all() or arr.min() < 0):
                 raise ValueError(f"{name} must be finite and non-negative")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_pc", np.concatenate([[0.0], np.cumsum(self.compute)]))
-        object.__setattr__(self, "_ps", np.concatenate([[0.0], np.cumsum(self.stall)]))
-        object.__setattr__(self, "_pv", np.concatenate([[0.0], np.cumsum(self.volume)]))
+        # The three prefix sums (each with a leading 0.0) in one float64
+        # buffer, read through memoryviews: an item is a Python float
+        # holding the same double, so range_cost does no numpy scalar
+        # arithmetic on the per-chunk path.
+        n = len(self.compute)
+        buf = np.zeros((3, n + 1))
+        for row, arr in zip(buf, (self.compute, self.stall, self.volume)):
+            np.cumsum(arr, out=row[1:])
+        pc, ps, pv = (memoryview(row) for row in buf)
+        object.__setattr__(self, "_pc", pc)
+        object.__setattr__(self, "_ps", ps)
+        object.__setattr__(self, "_pv", pv)
 
     def __len__(self) -> int:
         return len(self.compute)
 
     def range_cost(self, lo: int, hi: int) -> tuple[float, float, float]:
         """(compute, stall, volume) summed over items ``[lo, hi)``, as
-        Python floats (the same doubles as a float64 difference, without
-        numpy scalar arithmetic on the per-chunk path)."""
+        Python floats (the same doubles as a float64 difference)."""
         pc, ps, pv = self._pc, self._ps, self._pv
         if not 0 <= lo <= hi < len(pc):
             raise IndexError(f"range [{lo}, {hi}) out of bounds for {len(self)}")
-        return (pc.item(hi) - pc.item(lo), ps.item(hi) - ps.item(lo),
-                pv.item(hi) - pv.item(lo))
+        return pc[hi] - pc[lo], ps[hi] - ps[lo], pv[hi] - pv[lo]
 
     @property
     def total(self) -> tuple[float, float, float]:

@@ -58,6 +58,7 @@ SPAN_BUCKETS = {
     "watchdog-timeout": "engine:events",
     "deadlock": "engine:events",
     "killed": "engine:events",
+    "loop": "runtime:loop",  # region spans, labelled "loop:<prefix>"
     "chunk": "runtime:chunk",
     "tls-init": "runtime:tls",
     "hang": "runtime:hang",

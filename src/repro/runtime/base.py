@@ -293,7 +293,8 @@ class LoopContext:
         core.busy -= 1
         end = engine._now
         stats.busy_cycles += duration
-        stats.chunks.append(ChunkExec(lo, hi, tid, start, end))
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        stats.chunks.append(tuple.__new__(ChunkExec, (lo, hi, tid, start, end)))
         if self.trace is not None:
             self.trace.span("chunk", PID_THREADS, tid, start, end,
                             lo=lo, hi=hi)

@@ -83,15 +83,18 @@ def _spawn_static(ctx: LoopContext, chunk: int, tls_entries: int) -> None:
     """Round-robin chunk deal: thread k runs chunks k, k+t, k+2t, ..."""
     n, t = len(ctx.work), ctx.n_threads
     starts = list(range(0, n, chunk))
+    stats, faults = ctx.stats, ctx.faults
+    sched_cycles = ctx.config.sched_chunk_cycles
 
     def body(tid: int):
         yield from ctx.init_tls(tid, tls_entries, lazy=False)
         for s in starts[tid::t]:
             # A killed thread dies here: its remaining pre-dealt chunks
             # are lost — static scheduling cannot redistribute them.
-            ctx.fault_point(tid)
-            yield ctx.config.sched_chunk_cycles
-            ctx.stats.sched_cycles += ctx.config.sched_chunk_cycles
+            if faults is not None:
+                ctx.fault_point(tid)
+            yield sched_cycles
+            stats.sched_cycles += sched_cycles
             yield from ctx.execute_chunk(tid, s, min(s + chunk, n))
         yield from ctx.join(tid)
 
@@ -108,15 +111,17 @@ def _spawn_shared_counter(ctx: LoopContext, chunk: int, tls_entries: int,
     counter = AtomicVar(ctx.config.atomic_cycles, label="omp-chunk-counter")
     cursor = [0]
     n, t = len(ctx.work), ctx.n_threads
+    engine, faults = ctx.engine, ctx.faults
 
     def body(tid: int):
         yield from ctx.init_tls(tid, tls_entries, lazy=False)
         while True:
             # A killed thread dies before fetching, so no granted chunk
             # is ever lost — survivors drain the shared counter.
-            ctx.fault_point(tid)
-            done = counter.rmw(ctx.engine.now, tid=tid)
-            yield done - ctx.engine.now
+            if faults is not None:
+                ctx.fault_point(tid)
+            now = engine._now
+            yield counter.rmw(now, tid=tid) - now
             lo = cursor[0]
             if lo >= n:
                 break

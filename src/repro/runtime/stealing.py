@@ -99,6 +99,10 @@ def run_work_stealing(
 
     # Telemetry (repro.obs): captured once per loop, null-checked per use.
     registry = _obs_metrics.active()
+    # Per-loop handles, read once instead of in every worker iteration.
+    stats, check, trace, engine = ctx.stats, ctx.check, ctx.trace, ctx.engine
+    faults = ctx.faults
+    steal_cycles = ctx.config.steal_cycles
 
     def body(wid: int):
         nonlocal rng
@@ -111,21 +115,22 @@ def run_work_stealing(
             # A killed worker dies between chunks, before popping: its
             # deque stays intact as plain data, so survivors steal the
             # stranded ranges and no work is lost.
-            ctx.fault_point(wid)
+            if faults is not None:
+                ctx.fault_point(wid)
             if my:
                 lo, hi = my.pop()
                 if not my:
                     stocked.remove(wid)
-                if ctx.check is not None:
-                    ctx.check.on_pop(wid)
+                if check is not None:
+                    check.on_pop(wid)
                 while hi - lo > split_threshold:
                     mid = (lo + hi) // 2
                     was_empty = not my
                     my.append((mid, hi))
-                    if ctx.check is not None:
-                        ctx.check.on_push(wid)
-                    ctx.stats.tasks_spawned += 1
-                    ctx.stats.sched_cycles += task_cycles
+                    if check is not None:
+                        check.on_push(wid)
+                    stats.tasks_spawned += 1
+                    stats.sched_cycles += task_cycles
                     if was_empty:
                         insort(stocked, wid)
                         notify(wid)
@@ -133,10 +138,10 @@ def run_work_stealing(
                     hi = mid
                 if tls_entries and lazy_tls and not tls_done:
                     yield from ctx.init_tls(wid, tls_entries, lazy=True)
-                    ctx.stats.tls_inits += 1
+                    stats.tls_inits += 1
                     tls_done = True
                 if per_chunk_cycles:
-                    ctx.stats.sched_cycles += per_chunk_cycles
+                    stats.sched_cycles += per_chunk_cycles
                     yield per_chunk_cycles
                 yield from ctx.execute_chunk(wid, lo, hi)
                 remaining[0] -= hi - lo
@@ -153,27 +158,27 @@ def run_work_stealing(
                     if rng is None:
                         rng = np.random.default_rng(seed)
                     victim = stocked[int(rng.integers(len(stocked)))]
-                yield ctx.config.steal_cycles
-                ctx.stats.sched_cycles += ctx.config.steal_cycles
+                yield steal_cycles
+                stats.sched_cycles += steal_cycles
                 if deques[victim]:  # may have drained during the steal RTT
                     my.append(deques[victim].popleft())
                     if not deques[victim]:
                         stocked.remove(victim)
                     insort(stocked, wid)
-                    ctx.stats.steals += 1
-                    if ctx.check is not None:
-                        ctx.check.on_steal(wid, victim)
+                    stats.steals += 1
+                    if check is not None:
+                        check.on_steal(wid, victim)
                     if registry is not None:
                         registry.counter("steals", victim=str(victim)).inc(1)
-                    if ctx.trace is not None:
-                        ctx.trace.instant("steal", PID_THREADS, wid,
-                                          ctx.engine.now, victim=victim)
+                    if trace is not None:
+                        trace.instant("steal", PID_THREADS, wid, engine.now,
+                                      victim=victim)
                 else:
-                    ctx.stats.failed_steals += 1
+                    stats.failed_steals += 1
                     if registry is not None:
                         registry.counter("steals.failed").inc(1)
             else:
-                ctx.stats.failed_steals += 1
+                stats.failed_steals += 1
                 if registry is not None:
                     registry.counter("steals.failed").inc(1)
                 yield gen

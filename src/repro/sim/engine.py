@@ -223,6 +223,7 @@ class Engine:
                       math.inf if self.max_time is None else self.max_time)
         self._horizon = horizon
         heap = self._heap
+        max_events = self.max_events
         while heap:
             t, _, fn, args = heap[0]
             if t > horizon:
@@ -234,9 +235,8 @@ class Engine:
             self._now = t
             fn(*args)
             self.events_processed += 1
-            if self.max_events is not None \
-                    and self.events_processed > self.max_events:
-                raise self._timeout("events", self.max_events)
+            if max_events is not None and self.events_processed > max_events:
+                raise self._timeout("events", max_events)
         if self._active:
             blocked = self.blocked_processes()
             lines = "\n  ".join(blocked) if blocked else "(unnamed)"
@@ -307,15 +307,20 @@ class Process:
             except ThreadKilled:
                 self._retire(killed=True)
                 return
-            if not isinstance(request, (int, float)):
-                if isinstance(request, (Barrier, Condition)):
-                    request._block(self)
-                    return
-                raise TypeError(
-                    f"process yielded unsupported request {request!r}")
-            if not request >= 0:
-                raise ValueError(f"negative or NaN delay {request}")
-            t = engine._now + float(request)
+            if request.__class__ is float and request >= 0:
+                # The common case, a plain non-negative float delay: the
+                # checks below would pass and float() would return it.
+                t = engine._now + request
+            else:
+                if not isinstance(request, (int, float)):
+                    if isinstance(request, (Barrier, Condition)):
+                        request._block(self)
+                        return
+                    raise TypeError(
+                        f"process yielded unsupported request {request!r}")
+                if not request >= 0:
+                    raise ValueError(f"negative or NaN delay {request}")
+                t = engine._now + float(request)
             if t > engine._horizon or (heap and t >= heap[0][0]):
                 heappush(heap, (t, next(engine._seq), self._wake, ()))
                 return

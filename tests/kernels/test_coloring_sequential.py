@@ -1,5 +1,7 @@
 """Sequential greedy colouring (Algorithm 1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import chain, complete, erdos_renyi, grid2d, star
-from repro.kernels.coloring.sequential import (greedy_coloring,
+from repro.graph.suite import suite_graph
+from repro.kernels.coloring.sequential import (first_fit, greedy_coloring,
                                                greedy_coloring_stamp)
 from repro.kernels.coloring.verify import verify_coloring
 
@@ -103,3 +106,72 @@ def test_greedy_always_valid(n, m, seed):
     assert verify_coloring(g, colors)
     assert n_colors <= g.max_degree + 1
     assert colors.min() >= 1
+
+
+#: ``(graph, seed) -> (refit colours, refit digest, stamp digest)`` of
+#: the re-fit cases below, recorded with the whole-graph implementation
+#: that built a bit for every vertex (the re-fit must not change them).
+REFIT_PINS = {
+    ("pwtk", 0): (48, "9ee1ef2ea5b7536f", "eb71a9b372bfb2c6"),
+    ("pwtk", 1): (48, "3d67bcaefd97173b", "cce1afad5e34677d"),
+    ("pwtk", 2): (48, "26a2fad50c3a10fc", "0aec50bc87a0626d"),
+    ("auto", 0): (12, "39eb239fc3219472", "11009facfc2771f2"),
+    ("auto", 1): (12, "6d3e774d0e1cf507", "488ce0d14188acf4"),
+    ("auto", 2): (12, "014be3dbc9888cf4", "e79b73cc075c9fe4"),
+    ("hood", 0): (37, "448d4700780c2881", "d93a0c7c313100f3"),
+    ("hood", 1): (37, "96357b337d415c7a", "a7cb18c407b45801"),
+    ("hood", 2): (37, "ab1a3cf2f6058f9b", "b9e5cb0e03177f32"),
+}
+
+#: ``graph -> (colours, digest)`` of one full random-order colouring.
+FULL_ORDER_PINS = {
+    "pwtk": (47, "2f6f5f9682eeb4ec"),
+    "auto": (13, "b31a59e0a020151d"),
+    "hood": (37, "a9cdd903c4694506"),
+}
+
+
+def _digest(colors):
+    return hashlib.sha256(colors.astype(np.int64).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,seed", sorted(REFIT_PINS))
+def test_refit_matches_pinned_colours(name, seed):
+    """Re-fit 400 random rows of a suite graph's first-fit colouring
+    after scrambling their colours, in a random order: once on the
+    bitset path, once on the stamp path (a colour above 63 present)."""
+    g = suite_graph(name)
+    n = g.n_vertices
+    base = first_fit(g)
+    top = int(base.max())
+    n_refit, refit_digest, stamp_digest = REFIT_PINS[name, seed]
+    rng = np.random.default_rng(seed)
+    colors = base.copy()
+    rows = rng.choice(n, 400, replace=False)
+    colors[rows] = rng.integers(1, top + 1, 400)
+    k, out = greedy_coloring(g, order=rng.permutation(rows), colors=colors)
+    assert (k, _digest(out)) == (n_refit, refit_digest)
+    assert verify_coloring(g, out)
+    colors = base.copy()
+    colors[rows] = rng.integers(1, top + 1, 400)
+    colors[rows[0]] = 70
+    k, out = greedy_coloring(g, order=rng.permutation(rows), colors=colors)
+    assert (k, _digest(out)) == (70, stamp_digest)
+
+
+@pytest.mark.parametrize("name", sorted(FULL_ORDER_PINS))
+def test_full_random_order_matches_pinned_colours(name):
+    g = suite_graph(name)
+    order = np.random.default_rng(9).permutation(g.n_vertices)
+    k, out = greedy_coloring(g, order=order)
+    assert (k, _digest(out)) == FULL_ORDER_PINS[name]
+    assert np.array_equal(out, greedy_coloring_stamp(g, order=order)[1])
+
+
+def test_refit_of_no_rows_changes_nothing():
+    g = grid2d(4, 4)
+    colors = greedy_coloring(g)[1]
+    before = colors.copy()
+    k, out = greedy_coloring(g, order=[], colors=colors)
+    assert k == int(before.max())
+    assert np.array_equal(out, before)

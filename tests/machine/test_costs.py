@@ -36,6 +36,21 @@ class TestWorkCosts:
         w = WorkCosts(np.ones(5), 2 * np.ones(5), 3 * np.ones(5))
         assert w.total == (5.0, 10.0, 15.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (17, 17), (50, 50), (0, 1),
+                                       (49, 50), (23, 24), (0, 50)])
+    def test_range_cost_is_float64_prefix_difference(self, lo, hi):
+        """Empty, single-item and full ranges: Python floats holding the
+        same doubles as the difference of float64 prefix sums."""
+        rng = np.random.default_rng(3)
+        arrays = rng.gamma(2.0, 150.0, (3, 50))
+        w = WorkCosts(*arrays)
+        got = w.range_cost(lo, hi)
+        for value, arr in zip(got, arrays):
+            prefix = np.concatenate([[0.0], np.cumsum(arr)])
+            assert type(value) is float
+            assert value.hex() == float(prefix[hi] - prefix[lo]).hex()
+        assert all(type(v) is float for v in w.total)
+
     def test_out_of_bounds(self):
         w = WorkCosts(np.ones(5), np.ones(5), np.ones(5))
         with pytest.raises(IndexError):

@@ -6,6 +6,7 @@ import pytest
 from repro.machine.costs import WorkCosts
 from repro.runtime.base import (LoopContext, Partitioner, ProgrammingModel,
                                 RuntimeSpec, Schedule, TlsMode)
+from repro.sim.stats import ChunkExec
 
 
 def work(n=20):
@@ -29,6 +30,24 @@ class TestDispatch:
                            partitioner=Partitioner.SIMPLE, chunk=5)
         stats = spec.parallel_for(tiny_machine, 4, work(200), seed=1)
         assert stats.tasks_spawned > 0
+
+
+@pytest.mark.parametrize("spec", [
+    RuntimeSpec(ProgrammingModel.OPENMP, schedule=Schedule.STATIC, chunk=5),
+    RuntimeSpec(ProgrammingModel.OPENMP, schedule=Schedule.DYNAMIC, chunk=5),
+    RuntimeSpec(ProgrammingModel.CILK, chunk=5),
+    RuntimeSpec(ProgrammingModel.TBB, partitioner=Partitioner.SIMPLE, chunk=5),
+], ids=lambda spec: spec.label)
+def test_stored_chunks_are_chunk_execs(tiny_machine, spec):
+    stats = spec.parallel_for(tiny_machine, 4, work(200), seed=1)
+    assert stats.chunks
+    covered = 0
+    for c in stats.chunks:
+        assert type(c) is ChunkExec
+        assert c == ChunkExec(c.lo, c.hi, c.thread, c.start, c.end)
+        assert c.duration == c.end - c.start > 0
+        covered += c.size
+    assert covered == 200
 
 
 class TestLoopContext:
